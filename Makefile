@@ -20,13 +20,15 @@ vet:
 
 # Race-check the concurrent-by-design packages (the lock-free read path,
 # the sharded metrics registry and the stats accumulators it merges,
-# the network session table and the admission queue).
+# the network session table and the admission queue, the log flushers,
+# the device queues and the lock manager).
 race:
 	$(GO) test -race -short ./internal/btree/... ./internal/buffer/... \
 		./internal/storage/... ./internal/obs/... ./internal/stats/... \
 		./internal/tprofiler/... ./internal/mvcc/... ./internal/exec/... \
 		./internal/engine/... ./internal/partition/... \
-		./internal/server/... ./internal/admit/...
+		./internal/server/... ./internal/admit/... \
+		./internal/wal/... ./internal/disk/... ./internal/lock/...
 
 # Observability overhead guardrail (see docs/OBSERVABILITY.md).
 bench:

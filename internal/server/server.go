@@ -192,7 +192,15 @@ func (s *Server) Close() {
 type stream struct {
 	class admit.Class
 	txn   *engine.Txn
+	// failed: a statement of the explicit transaction failed and the
+	// server rolled it back. The client may have pipelined the rest of
+	// the transaction already, so every statement up to the Commit or
+	// Rollback that ends it is refused — none may run on its own, and
+	// the Commit must not report success.
+	failed bool
 }
+
+const msgTxnFailed = "transaction rolled back: an earlier statement failed"
 
 // conn is one connection's state, owned by a single goroutine: reads
 // are decoded in place from rbuf, responses accumulate in wbuf and
@@ -336,6 +344,19 @@ func (c *conn) replyErr(streamID uint32, err error) {
 	}
 }
 
+// stmtErr answers a statement that returned err. Inside an open
+// transaction any error but not-found — an answer, not a failure — rolls
+// the transaction back and leaves the stream failed (see stream).
+func (c *conn) stmtErr(streamID uint32, st *stream, err error) {
+	c.replyErr(streamID, err)
+	if st.txn == nil || errors.Is(err, storage.ErrKeyNotFound) {
+		return
+	}
+	st.txn.Rollback()
+	st.txn = nil
+	st.failed = true
+}
+
 // table resolves a table name (a payload byte view) through the
 // connection's cache; the map lookup on string(name) does not allocate.
 func (c *conn) table(name []byte) (*storage.Table, bool) {
@@ -400,6 +421,20 @@ func (c *conn) handleFrame(f Frame) bool {
 	if !known && f.Op != OpOpenSession {
 		c.replyMsg(f.Stream, StatusBad, "unknown stream")
 		return true
+	}
+	if known && st.failed {
+		switch f.Op {
+		case OpRollback:
+			st.failed = false
+			c.reply(f.Stream, StatusOK)
+			return true
+		case OpCommit:
+			st.failed = false
+			fallthrough
+		case OpBegin, OpGet, OpInsert, OpUpdate, OpDelete, OpScan:
+			c.replyMsg(f.Stream, StatusErr, msgTxnFailed)
+			return true
+		}
 	}
 	switch f.Op {
 	case OpHello:
@@ -516,7 +551,7 @@ func (c *conn) handleFrame(f Frame) bool {
 		if st.txn != nil {
 			row, err := st.txn.Get(t, key)
 			if err != nil {
-				c.replyErr(f.Stream, err)
+				c.stmtErr(f.Stream, st, err)
 				return true
 			}
 			off := c.begin(f.Stream, StatusOK)
@@ -561,7 +596,7 @@ func (c *conn) handleFrame(f Frame) bool {
 		}
 		if st.txn != nil {
 			if err := applyWrite(st.txn, f.Op, t, key, row); err != nil {
-				c.replyErr(f.Stream, err)
+				c.stmtErr(f.Stream, st, err)
 				return true
 			}
 			c.reply(f.Stream, StatusOK)
@@ -633,7 +668,7 @@ func (c *conn) handleFrame(f Frame) bool {
 		}
 		if err != nil {
 			c.wbuf = c.wbuf[:off]
-			c.replyErr(f.Stream, err)
+			c.stmtErr(f.Stream, st, err)
 			return true
 		}
 		binary.LittleEndian.PutUint32(c.wbuf[cntAt:], n)

@@ -105,38 +105,3 @@ func (r *Recorder) Reset() {
 	r.n = 0
 	r.mu.Unlock()
 }
-
-// Histogram is a fixed-bucket latency histogram used by the CLI tools to
-// visualize latency dispersion.
-type Histogram struct {
-	Bounds []float64 // ascending upper bounds; last bucket is overflow
-	Counts []int64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. An extra overflow bucket is appended automatically.
-func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{Bounds: b, Counts: make([]int64, len(bounds)+1)}
-}
-
-// Observe adds a value to the histogram.
-func (h *Histogram) Observe(v float64) {
-	for i, ub := range h.Bounds {
-		if v <= ub {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Counts)-1]++
-}
-
-// Total returns the number of observed values.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

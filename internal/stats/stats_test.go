@@ -397,31 +397,6 @@ func TestRecorderSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 50, 500, 1} {
-		h.Observe(v)
-	}
-	want := []int64{2, 1, 1, 1} // 0.5 and 1 in first bucket (<=1)
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramBoundsCopied(t *testing.T) {
-	bounds := []float64{1, 2}
-	h := NewHistogram(bounds)
-	bounds[0] = 100
-	if h.Bounds[0] != 1 {
-		t.Fatal("histogram aliases caller's bounds slice")
-	}
-}
-
 func TestWelfordAddZeros(t *testing.T) {
 	// Adding k zeros via AddZeros must equal adding them one by one.
 	var a, b Welford

@@ -135,10 +135,10 @@ func DecodeImage(img []byte) (entries []Entry, torn int) {
 	return entries, 0
 }
 
-// MergeEntries merges per-stream entry lists into one LSN-ordered list,
-// dropping duplicate LSNs. Duplicates are legitimate: a claim whose
-// fsync failed transiently is re-framed and rewritten, so the image can
-// carry the same batch twice; the payload bytes are identical.
+// MergeEntries merges entry lists into one LSN-ordered list, dropping
+// duplicate LSNs. Duplicates are legitimate: the torture harness merges
+// a device's durable image with its acked image, which contains it; the
+// payload bytes are identical.
 func MergeEntries(streams ...[]Entry) []Entry {
 	var out []Entry
 	for _, s := range streams {

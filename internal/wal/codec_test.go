@@ -79,6 +79,7 @@ func TestMergeEntriesDedupesRewrites(t *testing.T) {
 func TestPhysicalModeMatchesMemory(t *testing.T) {
 	devs := []disk.Device{physDev(1, faultfs.Config{}), physDev(2, faultfs.Config{})}
 	m := New(Config{Devices: devs, Parallel: true})
+	defer m.Close()
 	for txn := uint64(1); txn <= 20; txn++ {
 		if _, err := m.AppendBatch(txn, [][]byte{{byte(txn)}, {byte(txn), 2}}); err != nil {
 			t.Fatal(err)
@@ -103,11 +104,12 @@ func TestPhysicalModeMatchesMemory(t *testing.T) {
 }
 
 // TestPhysicalTransientErrorsRetry checks that commits succeed despite
-// a high transient-error rate, and duplicate frames from retried syncs
-// are deduplicated at decode time.
+// a high transient-error rate and that every record is recovered from
+// the device image, in LSN order.
 func TestPhysicalTransientErrorsRetry(t *testing.T) {
 	dev := physDev(3, faultfs.Config{IOErrorP: 0.4})
 	m := New(Config{Devices: []disk.Device{dev}})
+	defer m.Close()
 	for txn := uint64(1); txn <= 30; txn++ {
 		if _, err := m.Append(txn, []byte{byte(txn)}); err != nil {
 			t.Fatal(err)
@@ -136,6 +138,7 @@ func TestPhysicalTransientErrorsRetry(t *testing.T) {
 func TestPhysicalCrashKeepsDurablePrefix(t *testing.T) {
 	dev := physDev(4, faultfs.Config{CrashOp: 25, CrashTorn: 0})
 	m := New(Config{Devices: []disk.Device{dev}})
+	defer m.Close()
 	acked := 0
 	for txn := uint64(1); txn <= 100; txn++ {
 		if _, err := m.Append(txn, []byte{byte(txn)}); err != nil {

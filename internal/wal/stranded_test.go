@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,111 +36,149 @@ func (d *flakyDev) Sync() error {
 	return d.Device.Sync()
 }
 
-// TestCommitterNotStrandedByFlushWriteError reproduces the torture
-// campaign hang: an EagerFlush committer's batch is claimed by a
-// concurrent Flush (a checkpoint's durability barrier), the committer
-// parks in the waiter branch, and the flush pass then hits a transient
-// WriteData error and resurrects the batch into the buffer. Under
-// EagerFlush no background flusher exists, so before the resurrection
-// kick was added the committer slept forever — nothing was ever going
-// to re-claim its batch or broadcast.
-//
-// The claim and the resurrection are performed by hand (exactly the
-// moves flushClaimsPhys makes around a failed WriteData) because the
-// real interleaving needs the committer to slip between the flusher's
-// stream-lock windows — a timing window a deterministic test can't hit
-// reliably. The contract under test is the manager's, not the
-// flusher's: a batch moved back into buffered while its committer is
-// parked must wake that committer.
-func TestCommitterNotStrandedByFlushWriteError(t *testing.T) {
-	fd := &flakyDev{Device: physDev(1, faultfs.Config{})}
-	m := New(Config{Devices: []disk.Device{fd}, Policy: EagerFlush})
-	defer m.Close()
+// The stranding tests drive the log only through its public API and the
+// device's injected errors. They pin the flusher's contract: a batch it
+// has taken stays with it through any number of transient errors, so
+// whoever waits on that batch — by transaction or through a Flush
+// barrier — is woken with it durable. A flusher that dropped a batch
+// after an error would leave the waiter asleep; every wait below is
+// bounded by strandedTimeout, so that bug is a test failure, not a hang.
+const strandedTimeout = 10 * time.Second
 
-	if _, err := m.Append(1, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
+var allPolicies = []FlushPolicy{EagerFlush, LazyFlush, LazyWrite}
 
-	// "Flush claims the batch": buffered empties while txn 1 stays
-	// pending — the state the committer observes when a real flush pass
-	// is mid-I/O with its claim.
-	m.mu.Lock()
-	claim := m.buffered
-	claimBytes := m.bufferedBytes
-	m.buffered = nil
-	m.bufferedBytes = 0
-	m.mu.Unlock()
-
-	// The committer finds nothing to claim and parks in the waiter
-	// branch.
-	commitErr := make(chan error, 1)
-	go func() { commitErr <- m.Commit(1) }()
-	time.Sleep(50 * time.Millisecond)
+// within runs f and reports how it ended: an error from f, or stranded
+// when it has not returned after strandedTimeout.
+func within(what string, f func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- f() }()
 	select {
-	case err := <-commitErr:
-		t.Fatalf("Commit returned %v before its batch was durable", err)
-	default:
-	}
-
-	// "WriteData failed": the flush pass resurrects its claim, as
-	// flushClaimsPhys does on a transient write error. The parked
-	// committer must be kicked awake to flush the batch itself.
-	m.mu.Lock()
-	m.buffered = append(claim, m.buffered...)
-	m.bufferedBytes += claimBytes
-	m.kicked++
-	m.cond.Broadcast()
-	m.mu.Unlock()
-
-	select {
-	case err := <-commitErr:
+	case err := <-done:
 		if err != nil {
-			t.Fatalf("Commit = %v, want nil", err)
+			return fmt.Errorf("%s = %v, want nil", what, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("committer stranded: lost wakeup after flush resurrected its batch")
-	}
-	m.mu.Lock()
-	got := m.pending[1]
-	m.mu.Unlock()
-	if got != 0 {
-		t.Fatalf("pending(1) = %d after successful Commit", got)
+		return nil
+	case <-time.After(strandedTimeout):
+		return fmt.Errorf("%s stranded: its batch was dropped after a transient device error", what)
 	}
 }
 
-// TestCommitterDrivesSyncOfWrittenBatches covers the second stranding
-// shape: a flush pass writes the batch but the fsync fails, leaving it
-// written-but-unsynced. Under EagerFlush nobody is obligated to sync
-// m.written, so a committer that arrives afterwards (no kick coming)
-// must notice the unsynced batches and drive the flush itself instead
-// of parking.
-func TestCommitterDrivesSyncOfWrittenBatches(t *testing.T) {
-	fd := &flakyDev{Device: physDev(2, faultfs.Config{})}
-	m := New(Config{Devices: []disk.Device{fd}, Policy: EagerFlush})
-	defer m.Close()
-
-	if _, err := m.Append(1, []byte("payload")); err != nil {
+// wantDurable asserts that exactly txns 1..n are durable, both in the
+// manager's bookkeeping and in the device image recovery would read.
+func wantDurable(t *testing.T, m *Manager, dev disk.Device, n int) {
+	t.Helper()
+	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	fd.failSyncs.Store(1)
-	if err := m.Flush(); !errors.Is(err, errInjected) {
-		t.Fatalf("Flush error = %v, want injected transient error", err)
+	if got := m.DurableCount(); got != n {
+		t.Fatalf("DurableCount = %d, want %d", got, n)
 	}
-
-	commitErr := make(chan error, 1)
-	go func() { commitErr <- m.Commit(1) }()
-	select {
-	case err := <-commitErr:
-		if err != nil {
-			t.Fatalf("Commit = %v, want nil", err)
+	seen := make(map[uint64]bool)
+	for _, e := range RecoverDeviceEntries(dev) {
+		seen[e.Txn] = true
+	}
+	for txn := uint64(1); txn <= uint64(n); txn++ {
+		if !seen[txn] {
+			t.Fatalf("txn %d acked durable but missing from the device image", txn)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("committer stranded on a written-but-unsynced batch")
 	}
-	m.mu.Lock()
-	got := m.pending[1]
-	m.mu.Unlock()
-	if got != 0 {
-		t.Fatalf("pending(1) = %d after successful Commit", got)
+}
+
+// TestWriteErrorUnderFlushBarrier is the torture campaign's hang: a
+// committer's batch is swept up by a concurrent Flush (a checkpoint's
+// durability barrier) and the device write then fails. Commit and the
+// barrier must both return, with the record durable.
+func TestWriteErrorUnderFlushBarrier(t *testing.T) {
+	for _, policy := range allPolicies {
+		t.Run(policy.String(), func(t *testing.T) {
+			fd := &flakyDev{Device: physDev(1, faultfs.Config{})}
+			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: time.Millisecond})
+			defer m.Close()
+			if _, err := m.Append(1, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			fd.failWrites.Store(3)
+			flushed := make(chan error, 1)
+			go func() { flushed <- within("Flush", m.Flush) }()
+			if err := within("Commit", func() error { return m.Commit(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			wantDurable(t, m, fd, 1)
+		})
+	}
+}
+
+// TestSyncErrorLeavesNothingStranded covers the second stranding shape:
+// the batch is written but its fsync fails, and nobody nudges the log
+// afterwards. The flusher must retry the fsync on its own: an eager
+// Commit returns durable, a lazy one becomes durable within a few
+// intervals.
+func TestSyncErrorLeavesNothingStranded(t *testing.T) {
+	for _, policy := range allPolicies {
+		t.Run(policy.String(), func(t *testing.T) {
+			fd := &flakyDev{Device: physDev(2, faultfs.Config{})}
+			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: time.Millisecond})
+			defer m.Close()
+			if _, err := m.Append(1, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			fd.failSyncs.Store(3)
+			if err := within("Commit", func() error { return m.Commit(1) }); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(strandedTimeout); m.DurableCount() != 1; {
+				if policy == EagerFlush {
+					t.Fatal("eager Commit returned before its record was durable")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("written batch stranded: never fsynced after a failed Sync")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			wantDurable(t, m, fd, 1)
+		})
+	}
+}
+
+// TestCommitSyncRacesIntervalFlush forces durability under the lazy
+// policies while the interval flush keeps taking the same batches and
+// the device keeps failing: whichever pass holds a batch when an error
+// hits, every CommitSync must return with its record durable.
+func TestCommitSyncRacesIntervalFlush(t *testing.T) {
+	for _, policy := range []FlushPolicy{LazyFlush, LazyWrite} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fd := &flakyDev{Device: physDev(3, faultfs.Config{})}
+			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: 50 * time.Microsecond})
+			defer m.Close()
+			const workers, per = 4, 50
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						txn := uint64(w*per + i + 1)
+						if _, err := m.Append(txn, []byte(fmt.Sprintf("t%d", txn))); err != nil {
+							t.Errorf("append %d: %v", txn, err)
+							return
+						}
+						if i%2 == 0 {
+							fd.failWrites.Store(1)
+						} else {
+							fd.failSyncs.Store(2)
+						}
+						if err := within(fmt.Sprintf("CommitSync(%d)", txn), func() error { return m.CommitSync(txn) }); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			wantDurable(t, m, fd, workers*per)
+		})
 	}
 }

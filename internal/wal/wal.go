@@ -7,15 +7,23 @@
 // In single-stream mode all committers serialize on one log device — the
 // Postgres WALWriteLock pathology TProfiler identifies as 76.8% of overall
 // latency variance. In parallel mode two (or more) log devices hold
-// independent sets of redo logs and a committing transaction picks the
-// stream with fewer waiters, waiting only when none is free (§6.2).
+// independent sets of redo logs and an appending transaction picks the
+// stream with the smaller backlog (§6.2).
 //
 // The log is stored as *batches*, not individual records: a transaction
 // hands the manager all of its redo records in one AppendBatch call (one
-// lock acquisition per transaction instead of one per statement), the
-// batch travels through buffered → written → durable as a unit, and the
-// commit-path durability check is an O(1) per-transaction outstanding-
-// batch counter plus durable-LSN watermarks — never a log scan.
+// lock acquisition per transaction instead of one per statement), and the
+// batch travels queued → written → durable as a unit.
+//
+// Each stream has one flusher goroutine, and it is the only code that
+// touches the stream's device. AppendBatch puts a batch on a stream's
+// queue; the flusher takes everything queued, writes it, fsyncs when
+// someone needs durability (or the lazy policies' interval elapses),
+// settles the bookkeeping and wakes the waiters. Commit, CommitSync,
+// Release and Flush never do I/O: they nudge the flusher and wait until
+// the batches they care about have reached the state they need. A batch
+// never leaves its flusher's hands before it is durable, so a transient
+// device error is retried where it happened and no waiter has to notice.
 package wal
 
 import (
@@ -39,16 +47,17 @@ type LSN uint64
 type FlushPolicy int
 
 const (
-	// EagerFlush writes and fsyncs a transaction's redo records on its
-	// commit path (innodb_flush_log_at_trx_commit = 1). Durable but the
-	// full disk-latency variance lands on the transaction.
+	// EagerFlush has Commit wait until the transaction's redo records are
+	// written and fsynced (innodb_flush_log_at_trx_commit = 1). Durable
+	// but the full disk-latency variance lands on the transaction.
 	EagerFlush FlushPolicy = iota
-	// LazyFlush writes records on the commit path but defers fsync to a
-	// background flusher (= 2). A crash can lose transactions that
+	// LazyFlush has Commit wait for the write only; the fsync happens
+	// every FlushInterval (= 2). A crash can lose transactions that
 	// committed since the last flush.
 	LazyFlush
-	// LazyWrite defers both write and fsync to the background flusher
-	// (= 0). Fastest and most predictable commit; largest crash window.
+	// LazyWrite defers both write and fsync to the interval flush (= 0):
+	// Commit waits for nothing. Fastest and most predictable commit;
+	// largest crash window.
 	LazyWrite
 )
 
@@ -67,6 +76,9 @@ func (p FlushPolicy) String() string {
 // ErrCrashed is returned by operations after Crash.
 var ErrCrashed = errors.New("wal: simulated crash")
 
+// errClosed is returned by operations after Close.
+var errClosed = errors.New("wal: log closed")
+
 // Config configures a Manager.
 type Config struct {
 	// Devices are the log devices. One device = single-stream logging
@@ -78,7 +90,7 @@ type Config struct {
 	Parallel bool
 	// Policy is the durability policy.
 	Policy FlushPolicy
-	// FlushInterval is the background flusher period for the lazy
+	// FlushInterval is the flusher's fsync period under the lazy
 	// policies (the paper's engines use ~1s; scaled default 5ms).
 	FlushInterval time.Duration
 	// Obs, when non-nil, receives live metrics (flush latency,
@@ -92,8 +104,9 @@ type Stats struct {
 	Flushes     int64
 	RecordsSync int64 // records made durable
 	Bytes       int64
-	// GroupedCommits counts commits satisfied by another transaction's
-	// flush (group commit piggybacking).
+	// GroupedCommits counts commits satisfied by a flush they shared with
+	// another committer (group commit piggybacking): every commit that
+	// waited for durability, minus one per flush that served any.
 	GroupedCommits int64
 }
 
@@ -107,67 +120,80 @@ type batch struct {
 	first LSN    // LSN of record 0; records are dense through last()
 	data  []byte // concatenated payload bytes
 	ends  []int  // ends[i] = end offset of record i in data
-	// stream is the log stream whose device cache holds this batch's
-	// physical frame (-1 until written). Only meaningful in physical
-	// mode, where the fsync must go to the same device as the write.
-	stream int
 }
 
 func (b *batch) last() LSN  { return b.first + LSN(len(b.ends)) - 1 }
 func (b *batch) bytes() int { return len(b.data) }
 
+// state is how far a batch has travelled. AppendBatch makes it queued;
+// from there only its stream's flusher moves it.
+type state int
+
+const (
+	queued  state = iota // on a stream's queue
+	written              // in the device's volatile cache
+	durable              // fsynced
+)
+
+// commitWaits is the whole difference between the policies on the
+// commit path: the state Commit waits for the transaction's batches to
+// reach.
+var commitWaits = [...]state{EagerFlush: durable, LazyFlush: written, LazyWrite: queued}
+
+// maxRetries bounds how many consecutive transient device errors one
+// flusher pass retries through before it gives up and reports the error
+// to the waiters. The batches stay with the flusher; the next nudge or
+// interval tries again.
+const maxRetries = 100
+
+// txnPending counts one transaction's batches that are not yet durable.
+type txnPending struct {
+	unwritten int  // still queued (or held by a flusher whose write failed)
+	undurable int  // not yet fsynced; always ≥ unwritten
+	waiting   bool // a committer is blocked until undurable reaches 0
+}
+
 // Manager is the redo-log manager.
 type Manager struct {
 	cfg     Config
-	streams []*stream
+	streams []*stream // one per device in use
 	met     *obs.WALMetrics
+
+	// phys: the log devices are fault-capable (disk.Config.Faults), so
+	// batches are serialized into checksummed frames and written as real
+	// bytes through the device's cache/fsync model; recovery after a
+	// simulated crash decodes the devices' durable images (codec.go).
+	phys bool
 
 	// next is the last allocated LSN; allocation is a lock-free atomic
 	// add, so concurrent appenders never serialize on LSN assignment.
 	next atomic.Uint64
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// buffered holds appended batches not yet claimed by any flush;
-	// written holds batches a LazyFlush commit pushed to the OS cache,
-	// awaiting background fsync; durable holds everything fsynced.
-	// A claim moves whole batches out of buffered/written, performs the
-	// device I/O without m.mu, then completes them into durable — so
-	// claiming is O(batches taken), never O(log length).
-	buffered      []*batch
-	bufferedBytes int
-	written       []*batch
-	writtenBytes  int
-	durable       []*batch
-	durableRecs   int
-	// pending counts, per transaction, how many of its batches are not
-	// yet durable: the commit-path durability check is pending[txn] == 0.
-	pending map[uint64]int
-	// kicked counts resurrections: every path that puts a claimed batch
-	// back into buffered/written after a transient I/O error bumps it
-	// and broadcasts. A committer parked in commitEager's waiter branch
-	// watches the counter — its batch may be among the resurrected, and
-	// under EagerFlush nothing else is obligated to re-claim buffered
-	// batches, so the waiter must wake and drive a Flush itself rather
-	// than sleep for a wakeup that will never come.
-	kicked uint64
+	mu sync.Mutex
+	// reached[s] is broadcast whenever a flusher moves batches into
+	// state s (and, both of them, when the manager fails or a flusher
+	// gives up). Two conditions, so that a write does not wake the
+	// committers waiting for the fsync that follows it.
+	reached [durable + 1]*sync.Cond
+	// err is nil while the log runs, ErrCrashed after a crash (explicit
+	// or reported by a device), errClosed after Close.
+	err error
+	// pending holds the transactions with batches not yet durable.
+	pending map[uint64]txnPending
+	// durable holds everything fsynced and not yet truncated, in
+	// completion order.
+	durable     []*batch
+	durableRecs int
 	// marks[i] is the highest LSN stream i has made durable; contig is
 	// the global durable watermark — every LSN ≤ contig is durable. ooo
 	// holds completed ranges waiting for a gap to fill (out-of-order
 	// completion across parallel streams), sorted by first LSN.
-	marks   []LSN
-	contig  LSN
-	ooo     []lsnRange
-	crashed bool
+	marks  []LSN
+	contig LSN
+	ooo    []lsnRange
 	// truncLow is the highest Truncate bound applied so far: LSNs
 	// below it are durable-but-reclaimed (CheckInvariants uses it).
 	truncLow LSN
-
-	// phys: the log devices are fault-capable (disk.Config.Faults), so
-	// every claim is serialized into checksummed frames and written as
-	// real bytes through the device's cache/fsync model; recovery after
-	// a simulated crash decodes the devices' durable images (codec.go).
-	phys bool
 
 	appends atomic.Int64
 	flushes atomic.Int64
@@ -175,20 +201,45 @@ type Manager struct {
 	bytes   atomic.Int64
 	grouped atomic.Int64
 
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
+	// stop is closed by Close (the flushers drain, then exit) and by a
+	// crash (they exit at once); flushers counts them out.
+	stop     chan struct{}
+	stopOnce sync.Once
+	flushers sync.WaitGroup
 }
 
 type lsnRange struct{ first, last LSN }
 
+// stream is one log device and the flusher goroutine that owns it.
 type stream struct {
-	idx     int
-	dev     disk.Device
-	mu      sync.Mutex
-	waiters atomic.Int32
+	idx int
+	dev disk.Device
+	// wake rouses the flusher. Capacity 1: a nudge sent while a pass is
+	// in flight is remembered for the next pass and never blocks.
+	wake chan struct{}
+
+	// Guarded by Manager.mu.
+	queue []*batch
+	// enq, written and synced count the batches ever queued on, written
+	// to and made durable by this stream. The flusher works in queue
+	// order, so each counts a prefix of the one before.
+	enq, written, synced uint64
+	// wantSync: a waiter needs durability, so the next pass ends with an
+	// fsync whatever the policy.
+	wantSync bool
+	// err is why the last pass gave up, nil if it did not; the next
+	// nudge clears it.
+	err error
+
+	// Owned by the flusher goroutine.
+	unwritten     []*batch // taken off queue, not yet written successfully
+	unsynced      []*batch // written, waiting for an fsync
+	unsyncedBytes int
+	frames        []byte // WriteData scratch (physical mode)
 }
 
-// New builds a Manager. At least one device is required.
+// New builds a Manager and starts its flushers. At least one device is
+// required. Close or Crash stops them.
 func New(cfg Config) *Manager {
 	if len(cfg.Devices) == 0 {
 		panic("wal: need at least one device")
@@ -196,36 +247,35 @@ func New(cfg Config) *Manager {
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 5 * time.Millisecond
 	}
-	m := &Manager{cfg: cfg, pending: make(map[uint64]int)}
+	m := &Manager{cfg: cfg, pending: make(map[uint64]txnPending), stop: make(chan struct{})}
 	m.met = obs.NewWALMetrics(cfg.Obs, len(cfg.Devices))
-	m.cond = sync.NewCond(&m.mu)
+	m.reached[written] = sync.NewCond(&m.mu)
+	m.reached[durable] = sync.NewCond(&m.mu)
 	m.marks = make([]LSN, len(cfg.Devices))
-	recording := 0
-	for i, d := range cfg.Devices {
-		m.streams = append(m.streams, &stream{idx: i, dev: d})
-		if d.Recording() {
-			recording++
-		}
-	}
-	if recording > 0 {
-		if recording != len(cfg.Devices) {
+	m.phys = cfg.Devices[0].Recording()
+	for _, d := range cfg.Devices[1:] {
+		if d.Recording() != m.phys {
 			panic("wal: either all log devices must be fault-capable or none")
 		}
-		m.phys = true
 	}
-	if cfg.Policy != EagerFlush {
-		m.stopFlusher = make(chan struct{})
-		m.flusherDone = make(chan struct{})
-		go m.flushLoop()
+	devs := cfg.Devices
+	if !cfg.Parallel {
+		devs = devs[:1]
+	}
+	for i, d := range devs {
+		st := &stream{idx: i, dev: d, wake: make(chan struct{}, 1)}
+		m.streams = append(m.streams, st)
+		m.flushers.Add(1)
+		go m.flusher(st)
 	}
 	return m
 }
 
 // Append buffers one redo record for txn and returns its LSN. The record
-// is not durable until Commit (eager) or a background flush (lazy).
+// is not durable until Commit (eager) or an interval flush (lazy).
 func (m *Manager) Append(txn uint64, payload []byte) (LSN, error) {
-	bt := &batch{txn: txn, data: append([]byte(nil), payload...), ends: []int{len(payload)}, stream: -1}
-	return m.appendBatch(txn, bt, 1)
+	bt := &batch{txn: txn, data: append([]byte(nil), payload...), ends: []int{len(payload)}}
+	return m.appendBatch(bt)
 }
 
 // AppendBatch buffers all of txn's payloads as one atomic batch and
@@ -242,12 +292,12 @@ func (m *Manager) AppendBatch(txn uint64, payloads [][]byte) (LSN, error) {
 	for _, p := range payloads {
 		total += len(p)
 	}
-	bt := &batch{txn: txn, data: make([]byte, 0, total), ends: make([]int, len(payloads)), stream: -1}
+	bt := &batch{txn: txn, data: make([]byte, 0, total), ends: make([]int, len(payloads))}
 	for i, p := range payloads {
 		bt.data = append(bt.data, p...)
 		bt.ends[i] = len(bt.data)
 	}
-	return m.appendBatch(txn, bt, len(payloads))
+	return m.appendBatch(bt)
 }
 
 // NextLSN returns the highest LSN allocated so far; the next Append
@@ -258,335 +308,314 @@ func (m *Manager) NextLSN() LSN {
 	return LSN(m.next.Load())
 }
 
-func (m *Manager) appendBatch(txn uint64, bt *batch, n int) (LSN, error) {
-	last := LSN(m.next.Add(uint64(n)))
-	bt.first = last - LSN(n) + 1
+// appendBatch allocates bt's LSNs and queues it on the stream with the
+// least backlog (§6.2; stream 0 when not Parallel).
+func (m *Manager) appendBatch(bt *batch) (LSN, error) {
+	n := len(bt.ends)
+	bt.first = LSN(m.next.Add(uint64(n))) - LSN(n) + 1
 	m.mu.Lock()
-	if m.crashed {
+	if m.err != nil {
 		m.mu.Unlock()
-		return 0, ErrCrashed
+		return 0, m.err
 	}
-	m.buffered = append(m.buffered, bt)
-	m.bufferedBytes += bt.bytes()
-	m.pending[txn]++
+	st := m.streams[0]
+	for _, s := range m.streams[1:] {
+		if s.enq-s.synced < st.enq-st.synced {
+			st = s
+		}
+	}
+	st.queue = append(st.queue, bt)
+	st.enq++
+	p := m.pending[bt.txn]
+	p.unwritten++
+	p.undurable++
+	m.pending[bt.txn] = p
 	m.mu.Unlock()
 	m.appends.Add(int64(n))
 	m.met.AppendN(n)
 	return bt.first, nil
 }
 
-// Commit makes txn's records durable according to the policy and returns
-// when the policy's commit-path obligation is met: for EagerFlush that
-// means fsynced; for LazyFlush, written; for LazyWrite, immediately.
+// Commit returns when the policy's commit-path obligation for txn is
+// met: for EagerFlush its records are fsynced; for LazyFlush, written;
+// for LazyWrite, merely queued.
 func (m *Manager) Commit(txn uint64) error {
-	switch m.cfg.Policy {
-	case EagerFlush:
-		return m.commitEager(txn)
-	case LazyFlush:
-		return m.commitLazyFlush(txn)
-	default: // LazyWrite
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.crashed {
-			return ErrCrashed
-		}
-		return nil
-	}
+	return m.await(txn, nil, commitWaits[m.cfg.Policy])
 }
 
 // CommitSync makes txn's records durable NOW, regardless of the
 // configured policy — the forced-durability primitive two-phase commit
-// needs for prepare and decision records. Under the lazy policies the
-// batch may already have been claimed by the background flusher; the
-// group-commit loop handles that by waiting for the in-flight flush and
-// re-checking the pending count.
+// needs for prepare and decision records.
 func (m *Manager) CommitSync(txn uint64) error {
-	return m.commitEager(txn)
+	return m.await(txn, nil, durable)
 }
 
-// Release moves txn's buffered records toward the device WITHOUT a
-// durability barrier — the page-cache write of the LazyFlush commit
-// obligation, available under any policy. It exists for bulk streamers
-// like checkpoints: releasing each chunk keeps the buffered set
-// bounded without forcing an fsync per chunk (under EagerFlush a plain
-// Commit would), so background streaming adds exactly one barrier —
-// the final Flush — to the live group-commit traffic. Released records
-// become durable at the next Flush or background flusher pass.
+// Release moves txn's queued records toward the device WITHOUT a
+// durability barrier — LazyFlush's commit obligation, available under
+// any policy. It exists for bulk streamers like checkpoints: releasing
+// each chunk keeps the queue bounded without forcing an fsync per chunk
+// (under EagerFlush a plain Commit would), so background streaming adds
+// exactly one barrier — the final Flush — to the live group-commit
+// traffic. Released records become durable with the next fsync anyone
+// asks for.
 func (m *Manager) Release(txn uint64) error {
-	return m.commitLazyFlush(txn)
+	return m.await(txn, nil, written)
 }
 
-func (m *Manager) commitEager(txn uint64) error {
-	for {
-		m.mu.Lock()
-		if m.crashed {
-			m.mu.Unlock()
-			return ErrCrashed
-		}
-		if m.pending[txn] == 0 {
-			m.mu.Unlock()
-			return nil
-		}
-		m.mu.Unlock()
-
-		// Queue on a log stream. Whoever gets the stream lock becomes
-		// the group-commit leader and flushes everything buffered at
-		// that moment; committers queued behind it find their batches
-		// already durable when they get the lock.
-		st := m.pickStream()
-		st.waiters.Add(1)
-		st.mu.Lock()
-		m.mu.Lock()
-		if m.crashed {
-			m.mu.Unlock()
-			st.mu.Unlock()
-			st.waiters.Add(-1)
-			return ErrCrashed
-		}
-		if m.pending[txn] == 0 {
-			m.mu.Unlock()
-			st.mu.Unlock()
-			st.waiters.Add(-1)
-			m.grouped.Add(1)
-			m.met.Grouped()
-			return nil
-		}
-		claim, bytes := m.claimBufferedLocked()
-		m.mu.Unlock()
-
-		if len(claim) == 0 {
-			// Our batches are in flight with a leader or flusher; wait
-			// for its broadcast. Stop waiting if a transient I/O error
-			// resurrects batches (kicked moves) or — when no background
-			// flusher runs (EagerFlush) — if batches sit written-but-
-			// unsynced, since then nobody is obligated to sync them. In
-			// either case our batch may be stranded, so we drive a
-			// flush pass ourselves and re-check.
-			st.mu.Unlock()
-			st.waiters.Add(-1)
-			m.mu.Lock()
-			gen := m.kicked
-			for !m.crashed && m.pending[txn] != 0 && m.kicked == gen &&
-				(m.stopFlusher != nil || len(m.written) == 0) {
-				m.cond.Wait()
-			}
-			crashed := m.crashed
-			done := m.pending[txn] == 0
-			m.mu.Unlock()
-			if crashed {
-				return ErrCrashed
-			}
-			if done {
-				m.grouped.Add(1)
-				m.met.Grouped()
-				return nil
-			}
-			if err := m.Flush(); errors.Is(err, faultfs.ErrCrashed) || errors.Is(err, ErrCrashed) {
-				return ErrCrashed
-			}
-			continue
-		}
-
-		var flushStart time.Time
-		if m.met.FlushEnabled() {
-			flushStart = time.Now()
-		}
-		var ferr error
-		if m.phys {
-			ferr = physWriteSync(st, claim)
-		} else {
-			st.dev.WriteBytes(bytes)
-			st.dev.Fsync()
-		}
-		if ferr == nil && !flushStart.IsZero() {
-			m.met.FlushDone(time.Since(flushStart), recordCount(claim), bytes, st.idx)
-		}
-
-		m.mu.Lock()
-		if m.crashed || errors.Is(ferr, faultfs.ErrCrashed) {
-			// Crash raced with (or was) the flush; do not resurrect
-			// batches — the devices' durable images are the truth now.
-			m.crashed = true
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			st.mu.Unlock()
-			st.waiters.Add(-1)
-			return ErrCrashed
-		}
-		if ferr != nil {
-			// Transient I/O error: nothing durable happened. Resurrect
-			// the claim and retry; a duplicate frame from a write that
-			// preceded a failed fsync is deduplicated at decode time.
-			// The kick wakes parked waiters whose batches are in the
-			// resurrected claim — we retry, but they must not assume so.
-			m.buffered = append(claim, m.buffered...)
-			m.bufferedBytes += bytes
-			m.kicked++
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			st.mu.Unlock()
-			st.waiters.Add(-1)
-			continue
-		}
-		m.completeLocked(claim, st.idx)
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		st.mu.Unlock()
-		st.waiters.Add(-1)
-		m.flushes.Add(1)
-		m.bytes.Add(int64(bytes))
-	}
-}
-
-// physWriteSync frames a claim and pushes it through one device
-// write + fsync in physical mode.
-func physWriteSync(st *stream, claim []*batch) error {
-	var buf []byte
-	for _, bt := range claim {
-		buf = appendFrame(buf, bt)
-	}
-	if err := st.dev.WriteData(buf); err != nil {
-		return err
-	}
-	if err := st.dev.Sync(); err != nil {
-		return err
-	}
-	for _, bt := range claim {
-		bt.stream = st.idx
-	}
-	return nil
-}
-
-func (m *Manager) commitLazyFlush(txn uint64) error {
+// Flush returns once every record appended before the call is durable
+// (clean shutdown, checkpoint completion). The error matters: a
+// checkpoint that truncates the log after a failed flush would discard
+// records it never made durable.
+func (m *Manager) Flush() error {
 	m.mu.Lock()
-	if m.crashed {
-		m.mu.Unlock()
-		return ErrCrashed
-	}
-	var moved []*batch
-	movedBytes := 0
-	kept := m.buffered[:0]
-	for _, bt := range m.buffered {
-		if bt.txn == txn {
-			moved = append(moved, bt)
-			movedBytes += bt.bytes()
-			continue
-		}
-		kept = append(kept, bt)
-	}
-	for i := len(kept); i < len(m.buffered); i++ {
-		m.buffered[i] = nil
-	}
-	m.buffered = kept
-	m.bufferedBytes -= movedBytes
-	if !m.phys || len(moved) == 0 {
-		// The commit-path write lands in the OS page cache (a memcpy,
-		// not a device operation); only the background fsync touches the
-		// device, which is the whole point of the policy. The device
-		// transfer for these bytes is charged at flush time.
-		m.written = append(m.written, moved...)
-		m.writtenBytes += movedBytes
-		m.mu.Unlock()
-		return nil
+	upTo := make([]uint64, len(m.streams))
+	for i, st := range m.streams {
+		upTo[i] = st.enq
 	}
 	m.mu.Unlock()
+	return m.await(0, upTo, durable)
+}
 
-	// Physical mode: the commit-path write pushes real frames into a
-	// device's volatile cache (no fsync — that is the flusher's job).
-	// The batches are in neither buffered nor written while the I/O is
-	// in flight, so a concurrent flusher pass cannot double-claim them.
-	var buf []byte
-	for _, bt := range moved {
-		buf = appendFrame(buf, bt)
-	}
-	st := m.pickStream()
-	for attempt := 0; ; attempt++ {
-		st.mu.Lock()
-		err := st.dev.WriteData(buf)
-		st.mu.Unlock()
-		if err == nil {
-			break
+// await is the one wait loop behind Commit, CommitSync, Release and
+// Flush: nudge the flushers, then sleep until txn's batches — or, when
+// upTo is non-nil, the first upTo[i] batches of every stream i — have
+// reached state want. It fails when the manager has, and when a flusher
+// it nudged gave up on its device.
+func (m *Manager) await(txn uint64, upTo []uint64, want state) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for nudged := false; ; nudged = true {
+		if m.err != nil {
+			return m.err
 		}
-		if errors.Is(err, faultfs.ErrCrashed) {
-			m.markCrashed()
-			return ErrCrashed
+		if want == queued || m.reachedLocked(txn, upTo, want) {
+			return nil
 		}
-		// Transient write error: retry with fresh plan ops. Bail only
-		// after an absurd run of failures (the plan would need
-		// IOErrorP ≈ 1) and hand the batches to the flusher.
-		if attempt >= 100 {
-			m.mu.Lock()
-			if m.crashed {
-				m.mu.Unlock()
-				return ErrCrashed
+		for _, st := range m.streams {
+			if nudged && st.err != nil {
+				return st.err // the pass this call asked for gave up
 			}
-			m.buffered = append(moved, m.buffered...)
-			m.bufferedBytes += movedBytes
-			m.kicked++
-			m.cond.Broadcast()
+		}
+		if upTo == nil && want == durable {
+			p := m.pending[txn]
+			p.waiting = true
+			m.pending[txn] = p
+		}
+		m.nudgeLocked(want)
+		m.reached[want].Wait()
+	}
+}
+
+func (m *Manager) reachedLocked(txn uint64, upTo []uint64, want state) bool {
+	if upTo != nil {
+		for i, st := range m.streams {
+			if st.synced < upTo[i] {
+				return false
+			}
+		}
+		return true
+	}
+	// On a latency-model device the write is a page-cache copy, which
+	// the append already was: nothing to wait for.
+	p, pending := m.pending[txn]
+	return !pending || (want == written && (!m.phys || p.unwritten == 0))
+}
+
+// nudgeLocked wakes the flusher of every stream that still has batches
+// short of state want, asking for an fsync when want is durable.
+func (m *Manager) nudgeLocked(want state) {
+	for _, st := range m.streams {
+		behind := st.written < st.enq
+		if want == durable && st.synced < st.enq {
+			st.wantSync, behind = true, true
+		}
+		if !behind {
+			continue
+		}
+		st.err = nil
+		select {
+		case st.wake <- struct{}{}:
+		default: // a wakeup is already pending
+		}
+	}
+}
+
+// flusher is st's flusher goroutine: the only code that moves st's
+// batches forward. A nudge gets the queue written (and fsynced if a
+// waiter asked); under the lazy policies the interval tick fsyncs
+// whatever has accumulated.
+func (m *Manager) flusher(st *stream) {
+	defer m.flushers.Done()
+	var tick <-chan time.Time
+	if m.cfg.Policy != EagerFlush {
+		t := time.NewTicker(m.cfg.FlushInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-st.wake:
+			m.flush(st, false)
+		case <-tick:
+			m.flush(st, true)
+		case <-m.stop:
+			// Clean shutdown: drain. After a crash flush does nothing.
+			m.flush(st, true)
+			return
+		}
+	}
+}
+
+// flush runs one flusher pass over st: take everything queued, write
+// it, fsync if asked, complete, broadcast. A transient device error is
+// retried on the batches the flusher still holds, picking up whatever
+// was queued meanwhile; a crash outcome kills the manager and abandons
+// them — the device images are the truth then.
+func (m *Manager) flush(st *stream, sync bool) {
+	var err error
+	for try := 0; try < maxRetries; try++ {
+		m.mu.Lock()
+		if m.err != nil {
 			m.mu.Unlock()
+			return
+		}
+		st.unwritten = append(st.unwritten, st.queue...)
+		clear(st.queue)
+		st.queue = st.queue[:0]
+		sync = sync || st.wantSync
+		st.wantSync = false
+		m.mu.Unlock()
+
+		if err = m.pass(st, sync); err == nil {
+			return
+		}
+		if errors.Is(err, faultfs.ErrCrashed) || errors.Is(err, ErrCrashed) {
+			m.fail(ErrCrashed)
+			return
+		}
+	}
+	m.mu.Lock()
+	st.err = err
+	m.mu.Unlock()
+	m.wakeAll()
+}
+
+// pass writes st.unwritten and, if sync, fsyncs st.unsynced, moving the
+// batches along and waking their waiters after each step. On an error
+// the batches stay where they were.
+func (m *Manager) pass(st *stream, sync bool) error {
+	var start time.Time
+	if sync && m.met.FlushEnabled() {
+		start = time.Now()
+	}
+	if len(st.unwritten) > 0 {
+		if err := m.deviceIO(st, st.unwritten, 0, false); err != nil {
 			return err
 		}
+		m.mu.Lock()
+		if m.err != nil {
+			m.mu.Unlock()
+			return m.err
+		}
+		for _, bt := range st.unwritten {
+			p := m.pending[bt.txn]
+			p.unwritten--
+			m.pending[bt.txn] = p
+			st.unsyncedBytes += bt.bytes()
+		}
+		st.written += uint64(len(st.unwritten))
+		m.mu.Unlock()
+		m.reached[written].Broadcast()
+		st.unsynced = append(st.unsynced, st.unwritten...)
+		clear(st.unwritten)
+		st.unwritten = st.unwritten[:0]
+	}
+	if !sync || len(st.unsynced) == 0 {
+		return nil
+	}
+	if err := m.deviceIO(st, nil, st.unsyncedBytes, true); err != nil {
+		return err
 	}
 	m.mu.Lock()
-	if m.crashed {
+	if m.err != nil {
+		// A crash raced with the fsync: do not complete the batches.
 		m.mu.Unlock()
-		return ErrCrashed
+		return m.err
 	}
-	for _, bt := range moved {
-		bt.stream = st.idx
-	}
-	m.written = append(m.written, moved...)
-	m.writtenBytes += movedBytes
+	recs := m.completeLocked(st, st.unsynced)
 	m.mu.Unlock()
+	m.reached[durable].Broadcast()
+	m.flushes.Add(1)
+	m.bytes.Add(int64(st.unsyncedBytes))
+	if !start.IsZero() {
+		m.met.FlushDone(time.Since(start), recs, st.unsyncedBytes, st.idx)
+	}
+	clear(st.unsynced)
+	st.unsynced = st.unsynced[:0]
+	st.unsyncedBytes = 0
 	return nil
 }
 
-// claimBufferedLocked claims every buffered batch for flushing, leaving
-// the buffered list empty. Caller holds m.mu; the claim is completed (or
-// abandoned on crash) without re-scanning the log.
-func (m *Manager) claimBufferedLocked() ([]*batch, int) {
-	claim := m.buffered
-	bytes := m.bufferedBytes
-	m.buffered = nil
-	m.bufferedBytes = 0
-	return claim, bytes
+// deviceIO is the flusher's device step and the only code that touches
+// a log device: write the given batches, then fsync if sync. Physical
+// mode writes real frames and fsyncs them. In logical mode the write is
+// a copy into the OS page cache — not a device operation — so the
+// transfer of the nbytes accumulated since the last fsync is charged
+// together with it.
+func (m *Manager) deviceIO(st *stream, write []*batch, nbytes int, sync bool) error {
+	if m.phys {
+		if len(write) > 0 {
+			st.frames = st.frames[:0]
+			for _, bt := range write {
+				st.frames = appendFrame(st.frames, bt)
+			}
+			if err := st.dev.WriteData(st.frames); err != nil {
+				return err
+			}
+		}
+		if sync {
+			return st.dev.Sync()
+		}
+		return nil
+	}
+	if sync {
+		st.dev.WriteBytes(nbytes)
+		st.dev.Fsync()
+	}
+	return nil
 }
 
-// claimWrittenLocked claims every written-but-unsynced batch.
-func (m *Manager) claimWrittenLocked() ([]*batch, int) {
-	claim := m.written
-	bytes := m.writtenBytes
-	m.written = nil
-	m.writtenBytes = 0
-	return claim, bytes
-}
-
-// completeLocked marks claimed batches durable: appends them to the
-// durable log, settles each transaction's outstanding-batch counter, and
-// advances the stream's and the global durable-LSN watermarks. Caller
-// holds m.mu.
-func (m *Manager) completeLocked(claim []*batch, stream int) {
-	recs := 0
-	var hi LSN
-	for _, bt := range claim {
+// completeLocked marks st's fsynced batches durable: appends them to the
+// durable log, settles each transaction's pending counts, advances the
+// stream's and the global durable-LSN watermarks and does the
+// group-commit accounting. Returns the record count. Caller holds m.mu.
+func (m *Manager) completeLocked(st *stream, done []*batch) int {
+	recs, served := 0, 0
+	for _, bt := range done {
 		m.durable = append(m.durable, bt)
 		recs += len(bt.ends)
-		if l := bt.last(); l > hi {
-			hi = l
+		if l := bt.last(); l > m.marks[st.idx] {
+			m.marks[st.idx] = l
 		}
-		if c := m.pending[bt.txn] - 1; c == 0 {
-			delete(m.pending, bt.txn)
+		p := m.pending[bt.txn]
+		if p.undurable--; p.undurable > 0 {
+			m.pending[bt.txn] = p
 		} else {
-			m.pending[bt.txn] = c
+			delete(m.pending, bt.txn)
+			if p.waiting {
+				served++
+			}
 		}
 		m.advanceWatermarkLocked(bt.first, bt.last())
 	}
+	st.synced += uint64(len(done))
 	m.durableRecs += recs
 	m.synced.Add(int64(recs))
-	if stream >= 0 && stream < len(m.marks) && hi > m.marks[stream] {
-		m.marks[stream] = hi
+	for ; served > 1; served-- {
+		m.grouped.Add(1)
+		m.met.Grouped()
 	}
+	return recs
 }
 
 // advanceWatermarkLocked merges one newly durable LSN range into the
@@ -608,238 +637,22 @@ func (m *Manager) advanceWatermarkLocked(first, last LSN) {
 	}
 }
 
-func recordCount(claim []*batch) int {
-	n := 0
-	for _, bt := range claim {
-		n += len(bt.ends)
-	}
-	return n
-}
-
-// pickStream returns the log stream with the fewest waiters (§6.2); in
-// single-stream mode it always returns stream 0.
-func (m *Manager) pickStream() *stream {
-	if !m.cfg.Parallel || len(m.streams) == 1 {
-		return m.streams[0]
-	}
-	best := m.streams[0]
-	bestW := best.waiters.Load()
-	for _, s := range m.streams[1:] {
-		if w := s.waiters.Load(); w < bestW {
-			best, bestW = s, w
-		}
-	}
-	return best
-}
-
-func (m *Manager) flushLoop() {
-	defer close(m.flusherDone)
-	ticker := time.NewTicker(m.cfg.FlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stopFlusher:
-			return
-		case <-ticker.C:
-			m.backgroundFlush()
-		}
-	}
-}
-
-// backgroundFlush performs one flusher pass: write any still-buffered
-// batches (LazyWrite) and fsync everything written but not yet durable.
-func (m *Manager) backgroundFlush() {
+// fail moves the manager into its terminal state — first error wins —
+// stops the flushers and wakes every waiter. It does not join the
+// flushers: the caller may be one.
+func (m *Manager) fail(err error) {
 	m.mu.Lock()
-	if m.crashed {
-		m.mu.Unlock()
-		return
+	if m.err == nil {
+		m.err = err
 	}
-	var toWrite []*batch
-	bytes := 0
-	if m.cfg.Policy == LazyWrite {
-		toWrite, bytes = m.claimBufferedLocked()
-	}
-	toSync, wb := m.claimWrittenLocked()
-	bytes += wb
 	m.mu.Unlock()
-
-	if len(toWrite) == 0 && len(toSync) == 0 {
-		return
-	}
-	m.flushClaims(toWrite, toSync, bytes)
+	m.stopOnce.Do(func() { close(m.stop) })
+	m.wakeAll()
 }
 
-// Flush forces one synchronous flush pass (clean shutdown, checkpoint
-// completion). The error matters: a checkpoint that truncates the log
-// after an unflushed (or failed) pass would discard records it never
-// made durable.
-func (m *Manager) Flush() error {
-	m.mu.Lock()
-	if m.crashed {
-		m.mu.Unlock()
-		return ErrCrashed
-	}
-	toWrite, bytes := m.claimBufferedLocked()
-	toSync, wb := m.claimWrittenLocked()
-	bytes += wb
-	m.mu.Unlock()
-	if len(toWrite) == 0 && len(toSync) == 0 {
-		return nil
-	}
-	return m.flushClaims(toWrite, toSync, bytes)
-}
-
-// flushClaims pushes a claimed set of batches through one device
-// write+fsync and completes them. Shared by the background flusher and
-// manual Flush.
-func (m *Manager) flushClaims(toWrite, toSync []*batch, bytes int) error {
-	if m.phys {
-		return m.flushClaimsPhys(toWrite, toSync)
-	}
-	st := m.pickStream()
-	st.mu.Lock()
-	var flushStart time.Time
-	if m.met.FlushEnabled() {
-		flushStart = time.Now()
-	}
-	if bytes > 0 {
-		st.dev.WriteBytes(bytes)
-	}
-	st.dev.Fsync()
-	if !flushStart.IsZero() {
-		m.met.FlushDone(time.Since(flushStart), recordCount(toWrite)+recordCount(toSync), bytes, st.idx)
-	}
-	st.mu.Unlock()
-	m.flushes.Add(1)
-	m.bytes.Add(int64(bytes))
-
-	m.mu.Lock()
-	if m.crashed {
-		// Crash raced with this flush; do not resurrect batches.
-		m.mu.Unlock()
-		return ErrCrashed
-	}
-	m.completeLocked(toWrite, st.idx)
-	m.completeLocked(toSync, st.idx)
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	return nil
-}
-
-// flushClaimsPhys is the physical-mode flush pass. A written batch's
-// frame sits in the cache of one specific device, so the fsync must go
-// to that device: the claim is grouped by stream, still-buffered
-// batches (LazyWrite) are first written to the least-loaded stream, and
-// each involved stream gets one fsync. Transient errors resurrect the
-// affected batches for the next pass; a crash outcome kills the
-// manager and abandons the claim — the device images are the truth.
-// Returns the first error encountered (the pass still visits every
-// stream so transient errors on one stream don't strand another's
-// batches).
-func (m *Manager) flushClaimsPhys(toWrite, toSync []*batch) error {
-	var firstErr error
-	groups := make(map[int][]*batch)
-	for _, bt := range toSync {
-		groups[bt.stream] = append(groups[bt.stream], bt)
-	}
-	if len(toWrite) > 0 {
-		st := m.pickStream()
-		var buf []byte
-		for _, bt := range toWrite {
-			buf = appendFrame(buf, bt)
-		}
-		st.mu.Lock()
-		err := st.dev.WriteData(buf)
-		st.mu.Unlock()
-		switch {
-		case errors.Is(err, faultfs.ErrCrashed):
-			m.markCrashed()
-			return ErrCrashed
-		case err != nil:
-			if firstErr == nil {
-				firstErr = err
-			}
-			m.mu.Lock()
-			if !m.crashed {
-				// Resurrect and kick: under EagerFlush no background
-				// pass claims buffered batches, so a committer parked
-				// on one of these must wake and flush it itself.
-				m.buffered = append(toWrite, m.buffered...)
-				for _, bt := range toWrite {
-					m.bufferedBytes += bt.bytes()
-				}
-				m.kicked++
-				m.cond.Broadcast()
-			}
-			m.mu.Unlock()
-		default:
-			for _, bt := range toWrite {
-				bt.stream = st.idx
-			}
-			groups[st.idx] = append(groups[st.idx], toWrite...)
-		}
-	}
-	idxs := make([]int, 0, len(groups))
-	for i := range groups {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		grp := groups[i]
-		st := m.streams[i]
-		st.mu.Lock()
-		err := st.dev.Sync()
-		st.mu.Unlock()
-		switch {
-		case errors.Is(err, faultfs.ErrCrashed):
-			m.markCrashed()
-			return ErrCrashed
-		case err != nil:
-			// The frames are still in the device cache, so the batches
-			// go back on written unchanged: the next pass re-syncs the
-			// same stream without rewriting anything.
-			if firstErr == nil {
-				firstErr = err
-			}
-			m.mu.Lock()
-			if !m.crashed {
-				m.written = append(grp, m.written...)
-				for _, bt := range grp {
-					m.writtenBytes += bt.bytes()
-				}
-				m.kicked++
-				m.cond.Broadcast()
-			}
-			m.mu.Unlock()
-			continue
-		}
-		gbytes := 0
-		for _, bt := range grp {
-			gbytes += bt.bytes()
-		}
-		m.flushes.Add(1)
-		m.bytes.Add(int64(gbytes))
-		m.mu.Lock()
-		if m.crashed {
-			m.mu.Unlock()
-			return ErrCrashed
-		}
-		m.completeLocked(grp, i)
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-	return firstErr
-}
-
-// markCrashed transitions the manager to the crashed state and wakes
-// every waiting committer. Background goroutines are not joined here —
-// the caller may be the background flusher itself; Crash/Close own the
-// join.
-func (m *Manager) markCrashed() {
-	m.mu.Lock()
-	m.crashed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
+func (m *Manager) wakeAll() {
+	m.reached[written].Broadcast()
+	m.reached[durable].Broadcast()
 }
 
 // Crash simulates a crash: all non-durable batches are lost and the
@@ -847,44 +660,17 @@ func (m *Manager) markCrashed() {
 // prefix. The paper's Appendix B: lazy policies "risk losing forward
 // progress in the event of a crash".
 func (m *Manager) Crash() {
-	m.mu.Lock()
-	m.crashed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	m.stopBackground()
+	m.fail(ErrCrashed)
+	m.flushers.Wait()
 }
 
-// Close stops the flusher and flushes until nothing is pending (clean
-// shutdown). A single flush is not enough on fault-capable devices: a
-// transient write error resurrects the claimed batches into the buffer,
-// and returning at that point would strand acked lazy-policy commits in
-// memory forever — the torture harness caught exactly that. Close
-// therefore retries until the log drains, the device crashes, or a
-// generous retry bound trips (only reachable at error rates far beyond
-// the harness's worst case).
+// Close is the clean shutdown: each flusher makes everything queued on
+// its stream durable (unless its device keeps failing, or crashes) and
+// exits; the manager then refuses further work.
 func (m *Manager) Close() {
-	m.stopBackground()
-	for attempt := 0; attempt < 1000; attempt++ {
-		_ = m.Flush() // drain-loop retry; the done check below decides
-		m.mu.Lock()
-		done := m.crashed || (len(m.buffered) == 0 && len(m.written) == 0)
-		m.mu.Unlock()
-		if done {
-			return
-		}
-	}
-}
-
-func (m *Manager) stopBackground() {
-	if m.stopFlusher == nil {
-		return
-	}
-	select {
-	case <-m.stopFlusher:
-	default:
-		close(m.stopFlusher)
-	}
-	<-m.flusherDone
+	m.stopOnce.Do(func() { close(m.stop) })
+	m.flushers.Wait()
+	m.fail(errClosed)
 }
 
 // Entry is one durable log record as seen by recovery.
@@ -928,8 +714,8 @@ func (m *Manager) RecoveredEntries() []Entry {
 func (m *Manager) Truncate(before LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.crashed {
-		return ErrCrashed
+	if m.err != nil {
+		return m.err
 	}
 	if before > m.truncLow {
 		m.truncLow = before
@@ -967,15 +753,9 @@ func (m *Manager) Truncate(before LSN) error {
 // Recovered returns the payloads of durable records in LSN order — what
 // crash recovery would replay.
 func (m *Manager) Recovered() [][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out [][]byte
-	for _, bt := range m.sortedDurableLocked() {
-		start := 0
-		for _, end := range bt.ends {
-			out = append(out, bt.data[start:end:end])
-			start = end
-		}
+	for _, e := range m.RecoveredEntries() {
+		out = append(out, e.Payload)
 	}
 	return out
 }
@@ -1019,8 +799,8 @@ func (m *Manager) StreamWatermarks() []LSN {
 //     by exactly one durable batch (the watermark promise);
 //   - parked out-of-order ranges are sorted, disjoint, and strictly
 //     above the watermark with a real gap below them;
-//   - bufferedBytes/writtenBytes match their lists;
-//   - outstanding-batch counters are positive.
+//   - every stream's counters are ordered (synced ≤ written ≤ enq) and
+//     the per-transaction pending counts add up to them.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1080,24 +860,25 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("wal: ooo ranges %d and %d overlap", i-1, i)
 		}
 	}
-	bb := 0
-	for _, bt := range m.buffered {
-		bb += bt.bytes()
-	}
-	if bb != m.bufferedBytes {
-		return fmt.Errorf("wal: bufferedBytes=%d, buffered batches sum to %d", m.bufferedBytes, bb)
-	}
-	wb := 0
-	for _, bt := range m.written {
-		wb += bt.bytes()
-	}
-	if wb != m.writtenBytes {
-		return fmt.Errorf("wal: writtenBytes=%d, written batches sum to %d", m.writtenBytes, wb)
-	}
-	for txn, n := range m.pending {
-		if n <= 0 {
-			return fmt.Errorf("wal: pending[%d]=%d, want > 0", txn, n)
+	var unwritten, undurable uint64
+	for txn, p := range m.pending {
+		if p.undurable <= 0 || p.unwritten < 0 || p.unwritten > p.undurable {
+			return fmt.Errorf("wal: pending[%d] = %d unwritten, %d undurable", txn, p.unwritten, p.undurable)
 		}
+		unwritten += uint64(p.unwritten)
+		undurable += uint64(p.undurable)
+	}
+	for _, st := range m.streams {
+		if st.synced > st.written || st.written > st.enq || uint64(len(st.queue)) > st.enq-st.written {
+			return fmt.Errorf("wal: stream %d counters out of order: queue=%d enq=%d written=%d synced=%d",
+				st.idx, len(st.queue), st.enq, st.written, st.synced)
+		}
+		unwritten -= st.enq - st.written
+		undurable -= st.enq - st.synced
+	}
+	if unwritten != 0 || undurable != 0 {
+		return fmt.Errorf("wal: pending counts and stream counters disagree (unwritten off by %d, undurable by %d)",
+			int64(unwritten), int64(undurable))
 	}
 	return nil
 }
@@ -1113,7 +894,7 @@ func (m *Manager) Devices() []disk.Device {
 func (m *Manager) Crashed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.crashed
+	return m.err == ErrCrashed
 }
 
 // Stats returns a snapshot of counters.

@@ -16,6 +16,7 @@ import (
 func TestLSNOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		m := New(Config{Devices: []disk.Device{fastDevice(seed)}, Policy: EagerFlush})
+		defer m.Close()
 		n := 5 + int(uint64(seed)%20)
 		var want []LSN
 		for i := 0; i < n; i++ {
@@ -97,6 +98,7 @@ func TestEagerDurabilityUnderConcurrentCrash(t *testing.T) {
 func TestGroupCommitCountsGrouped(t *testing.T) {
 	dev := disk.New(disk.Config{MedianLatency: 3 * time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 9})
 	m := New(Config{Devices: []disk.Device{dev}, Policy: EagerFlush})
+	defer m.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
@@ -158,6 +160,7 @@ func TestParallelMoreStreamsMoreThroughput(t *testing.T) {
 				MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: int64(i + 1)}))
 		}
 		m := New(Config{Devices: devs, Parallel: parallel, Policy: EagerFlush})
+		defer m.Close()
 		start := time.Now()
 		var wg sync.WaitGroup
 		for i := 0; i < 16; i++ {

@@ -103,6 +103,7 @@ func TestGroupCommitPiggybacks(t *testing.T) {
 	// must be (much) smaller than committer count thanks to group commit.
 	dev := disk.New(disk.Config{MedianLatency: 2 * time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 1})
 	m := New(Config{Devices: []disk.Device{dev}, Policy: EagerFlush})
+	defer m.Close()
 	const n = 16
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -207,6 +208,7 @@ func TestParallelPicksLessLoadedStream(t *testing.T) {
 	d1 := disk.New(disk.Config{MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 1})
 	d2 := disk.New(disk.Config{MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 2})
 	m := New(Config{Devices: []disk.Device{d1, d2}, Parallel: true, Policy: EagerFlush})
+	defer m.Close()
 	const n = 12
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -232,6 +234,7 @@ func TestSingleStreamIgnoresExtraDevices(t *testing.T) {
 	d1 := fastDevice(1)
 	d2 := fastDevice(2)
 	m := New(Config{Devices: []disk.Device{d1, d2}, Parallel: false, Policy: EagerFlush})
+	defer m.Close()
 	m.Append(1, []byte("x"))
 	m.Commit(1)
 	if d2.Stats().Ops != 0 {
@@ -241,6 +244,7 @@ func TestSingleStreamIgnoresExtraDevices(t *testing.T) {
 
 func TestConcurrentAppendCommitStress(t *testing.T) {
 	m := New(Config{Devices: []disk.Device{fastDevice(7)}, Policy: EagerFlush})
+	defer m.Close()
 	var wg sync.WaitGroup
 	const workers = 8
 	const per = 20
@@ -267,6 +271,7 @@ func TestConcurrentAppendCommitStress(t *testing.T) {
 
 func TestTruncateDropsOnlyDurablePrefix(t *testing.T) {
 	m := eagerMgr()
+	defer m.Close()
 	m.Append(1, []byte("a"))
 	m.Append(1, []byte("b"))
 	m.Commit(1) // both durable (LSN 1, 2)
