@@ -490,7 +490,10 @@ func (p *Pool) Create(id PageID) (Frame, error) {
 
 // Fetch pins page id, reading it from the backing store on a miss. The
 // Handle's policy applies LRU promotion on hits. The hit path is
-// lock-free: a bucket-chain probe plus a pin CAS.
+// lock-free: a bucket-chain probe plus a pin CAS. A miss on a shard
+// whose frames are all pinned fails at once with ErrNoVictim rather
+// than waiting for a pin to drop; the server answers that with
+// StatusErr.
 func (h *Handle) Fetch(id PageID) (Frame, error) {
 	p := h.pool
 	hash := hashPageID(id)

@@ -273,11 +273,12 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 func (db *DB) preserveDecisions(bound wal.LSN) error {
 	// Single-engine deployments never log a decide record, and the scan
 	// below is not free: RecoveredEntries materializes the whole durable
-	// log under the WAL manager's mutex — the mutex every live Append
-	// and Commit takes — so running it once per checkpoint turns into a
-	// commit latency stall. The flag is monotone (set by LogDecision and
-	// by recovery when the recovered log carries decides), so skipping
-	// while unset can never drop a decision.
+	// log — in physical mode by reading and decoding the device images,
+	// in logical mode by sorting the durable batch list under the WAL
+	// manager's mutex, the mutex every live Append and Commit takes — so
+	// running it once per checkpoint costs commits. The flag is monotone
+	// (set by LogDecision and by recovery when the recovered log carries
+	// decides), so skipping while unset can never drop a decision.
 	if !db.hasDecisions.Load() {
 		return nil
 	}

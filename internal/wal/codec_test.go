@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,33 +75,99 @@ func TestMergeEntriesDedupesRewrites(t *testing.T) {
 	}
 }
 
-// TestPhysicalModeMatchesMemory commits through fault-capable devices
-// with no faults configured: the decoded durable image must equal the
-// in-memory durable log exactly.
-func TestPhysicalModeMatchesMemory(t *testing.T) {
-	devs := []disk.Device{physDev(1, faultfs.Config{}), physDev(2, faultfs.Config{})}
-	m := New(Config{Devices: devs, Parallel: true})
-	defer m.Close()
-	for txn := uint64(1); txn <= 20; txn++ {
-		if _, err := m.AppendBatch(txn, [][]byte{{byte(txn)}, {byte(txn), 2}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Commit(txn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.CheckInvariants(); err != nil {
+// fileDev opens a real-file log device in a fresh test directory.
+func fileDev(t *testing.T) disk.Device {
+	t.Helper()
+	d, err := disk.OpenFile(disk.FileConfig{Path: filepath.Join(t.TempDir(), "wal"), BlockSize: 4096})
+	if err != nil {
 		t.Fatal(err)
 	}
-	mem := m.RecoveredEntries()
-	phys := RecoverDeviceEntries(devs...)
-	if len(mem) != len(phys) {
-		t.Fatalf("memory has %d entries, devices %d", len(mem), len(phys))
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// TestPhysicalModeMatchesMemory checks what a physical-mode log reports
+// durable against an independent list of the appended records, before
+// and after a Truncate whose bound splits a batch, on both fault-capable
+// backends.
+func TestPhysicalModeMatchesMemory(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dev  func(t *testing.T, seed int64) disk.Device
+	}{
+		{"Sim", func(_ *testing.T, seed int64) disk.Device { return physDev(seed, faultfs.Config{}) }},
+		{"File", func(t *testing.T, _ int64) disk.Device { return fileDev(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(Config{Devices: []disk.Device{tc.dev(t, 1), tc.dev(t, 2)}, Parallel: true})
+			defer m.Close()
+			var want []Entry
+			for txn := uint64(1); txn <= 20; txn++ {
+				payloads := [][]byte{{byte(txn)}, {byte(txn), 2}}
+				first, err := m.AppendBatch(txn, payloads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range payloads {
+					want = append(want, Entry{LSN: first + LSN(i), Txn: txn, Payload: p})
+				}
+				if err := m.Commit(txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(want []Entry) {
+				t.Helper()
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				got := m.RecoveredEntries()
+				if len(got) != len(want) || m.DurableCount() != len(want) {
+					t.Fatalf("RecoveredEntries has %d entries, DurableCount %d, want %d", len(got), m.DurableCount(), len(want))
+				}
+				for i := range want {
+					if got[i].LSN != want[i].LSN || got[i].Txn != want[i].Txn || !bytes.Equal(got[i].Payload, want[i].Payload) {
+						t.Fatalf("entry %d: got %+v, want %+v", i, got[i], want[i])
+					}
+				}
+			}
+			check(want)
+			// LSN 12 is the second record of txn 6's batch.
+			if err := m.Truncate(12); err != nil {
+				t.Fatal(err)
+			}
+			check(want[11:])
+		})
 	}
-	for i := range mem {
-		if mem[i].LSN != phys[i].LSN || mem[i].Txn != phys[i].Txn || !bytes.Equal(mem[i].Payload, phys[i].Payload) {
-			t.Fatalf("entry %d: mem=%+v phys=%+v", i, mem[i], phys[i])
+}
+
+// TestPhysicalModeHeapHoldsNoPayloads: on a file device every fsynced
+// byte is on the file, so the manager must not keep a heap copy of it.
+func TestPhysicalModeHeapHoldsNoPayloads(t *testing.T) {
+	m := New(Config{Devices: []disk.Device{fileDev(t)}})
+	defer m.Close()
+	const n, size = 5000, 4096
+	payload := make([]byte, size)
+	heapInuse := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	before := heapInuse()
+	for txn := uint64(1); txn <= n; txn++ {
+		if _, err := m.AppendBatch(txn, [][]byte{payload}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	grew := heapInuse() - before
+	if appended := int64(n * size); grew >= appended/4 {
+		t.Fatalf("heap grew %d KiB after %d KiB became durable on the file; want < a quarter of it", grew>>10, appended>>10)
+	}
+	if got := m.DurableCount(); got != n {
+		t.Fatalf("DurableCount = %d, want %d", got, n)
 	}
 }
 

@@ -15,6 +15,13 @@
 // lock acquisition per transaction instead of one per statement), and the
 // batch travels queued → written → durable as a unit.
 //
+// What is durable is recorded once, as the durable watermark. A durable
+// batch's bytes live where the device can keep them: on fault-capable
+// (physical) devices the manager forgets a batch once it is fsynced and
+// recovery reads the device images; a latency-model device keeps no
+// bytes, so in logical mode the manager holds durable batches until
+// Truncate.
+//
 // Each stream has one flusher goroutine, and it is the only code that
 // touches the stream's device. AppendBatch puts a batch on a stream's
 // queue; the flusher takes everything queued, writes it, fsyncs when
@@ -146,6 +153,11 @@ var commitWaits = [...]state{EagerFlush: durable, LazyFlush: written, LazyWrite:
 // interval tries again.
 const maxRetries = 100
 
+// maxScratch caps the frame scratch buffer a flusher keeps between
+// passes, so one pass that wrote a huge group (a Flush after a long
+// unflushed stretch) does not pin that much heap for the stream's life.
+const maxScratch = 1 << 20
+
 // txnPending counts one transaction's batches that are not yet durable.
 type txnPending struct {
 	unwritten int  // still queued (or held by a flusher whose write failed)
@@ -162,7 +174,8 @@ type Manager struct {
 	// phys: the log devices are fault-capable (disk.Config.Faults), so
 	// batches are serialized into checksummed frames and written as real
 	// bytes through the device's cache/fsync model; recovery after a
-	// simulated crash decodes the devices' durable images (codec.go).
+	// simulated crash decodes the devices' durable images (codec.go), and
+	// RecoveredEntries decodes their acked images.
 	phys bool
 
 	// next is the last allocated LSN; allocation is a lock-free atomic
@@ -180,19 +193,20 @@ type Manager struct {
 	err error
 	// pending holds the transactions with batches not yet durable.
 	pending map[uint64]txnPending
-	// durable holds everything fsynced and not yet truncated, in
-	// completion order.
-	durable     []*batch
-	durableRecs int
+	// durable holds, in logical mode only, the batches fsynced and not yet
+	// truncated, in completion order. In physical mode it stays empty: the
+	// devices hold those bytes.
+	durable []*batch
 	// marks[i] is the highest LSN stream i has made durable; contig is
 	// the global durable watermark — every LSN ≤ contig is durable. ooo
 	// holds completed ranges waiting for a gap to fill (out-of-order
-	// completion across parallel streams), sorted by first LSN.
+	// completion across parallel streams), sorted by first LSN. Together
+	// with truncLow they are the record of what is durable.
 	marks  []LSN
 	contig LSN
 	ooo    []lsnRange
-	// truncLow is the highest Truncate bound applied so far: LSNs
-	// below it are durable-but-reclaimed (CheckInvariants uses it).
+	// truncLow is the highest Truncate bound applied so far, never above
+	// contig+1: LSNs below it are durable but reclaimed.
 	truncLow LSN
 
 	appends atomic.Int64
@@ -209,6 +223,35 @@ type Manager struct {
 }
 
 type lsnRange struct{ first, last LSN }
+
+// lsnRanges is a sorted list of disjoint LSN ranges.
+type lsnRanges []lsnRange
+
+// covers reports whether [first, last] lies inside one of the ranges.
+func (rs lsnRanges) covers(first, last LSN) bool {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].last >= first })
+	return i < len(rs) && rs[i].first <= first && last <= rs[i].last
+}
+
+func (rs lsnRanges) count() int {
+	n := 0
+	for _, r := range rs {
+		n += int(r.last - r.first + 1)
+	}
+	return n
+}
+
+// durableRangesLocked snapshots the durable watermark as ranges: every
+// LSN from the truncation bound through contig, then the parked
+// out-of-order ranges (all above contig+1, so the list stays sorted and
+// disjoint). Caller holds m.mu.
+func (m *Manager) durableRangesLocked() lsnRanges {
+	rs := make(lsnRanges, 0, 1+len(m.ooo))
+	if low := max(m.truncLow, 1); m.contig >= low {
+		rs = append(rs, lsnRange{low, m.contig})
+	}
+	return append(rs, m.ooo...)
+}
 
 // stream is one log device and the flusher goroutine that owns it.
 type stream struct {
@@ -543,6 +586,10 @@ func (m *Manager) pass(st *stream, sync bool) error {
 		return m.err
 	}
 	recs := m.completeLocked(st, st.unsynced)
+	// Let go of the batches before anyone learns they are durable: in
+	// physical mode nothing else references them.
+	clear(st.unsynced)
+	st.unsynced = st.unsynced[:0]
 	m.mu.Unlock()
 	m.reached[durable].Broadcast()
 	m.flushes.Add(1)
@@ -550,8 +597,6 @@ func (m *Manager) pass(st *stream, sync bool) error {
 	if !start.IsZero() {
 		m.met.FlushDone(time.Since(start), recs, st.unsyncedBytes, st.idx)
 	}
-	clear(st.unsynced)
-	st.unsynced = st.unsynced[:0]
 	st.unsyncedBytes = 0
 	return nil
 }
@@ -569,7 +614,11 @@ func (m *Manager) deviceIO(st *stream, write []*batch, nbytes int, sync bool) er
 			for _, bt := range write {
 				st.frames = appendFrame(st.frames, bt)
 			}
-			if err := st.dev.WriteData(st.frames); err != nil {
+			err := st.dev.WriteData(st.frames)
+			if cap(st.frames) > maxScratch {
+				st.frames = nil
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -585,14 +634,17 @@ func (m *Manager) deviceIO(st *stream, write []*batch, nbytes int, sync bool) er
 	return nil
 }
 
-// completeLocked marks st's fsynced batches durable: appends them to the
-// durable log, settles each transaction's pending counts, advances the
-// stream's and the global durable-LSN watermarks and does the
-// group-commit accounting. Returns the record count. Caller holds m.mu.
+// completeLocked marks st's fsynced batches durable: settles each
+// transaction's pending counts, advances the stream's and the global
+// durable-LSN watermarks (keeping the batches themselves only in logical
+// mode) and does the group-commit accounting. Returns the record count.
+// Caller holds m.mu.
 func (m *Manager) completeLocked(st *stream, done []*batch) int {
 	recs, served := 0, 0
 	for _, bt := range done {
-		m.durable = append(m.durable, bt)
+		if !m.phys {
+			m.durable = append(m.durable, bt)
+		}
 		recs += len(bt.ends)
 		if l := bt.last(); l > m.marks[st.idx] {
 			m.marks[st.idx] = l
@@ -609,7 +661,6 @@ func (m *Manager) completeLocked(st *stream, done []*batch) int {
 		m.advanceWatermarkLocked(bt.first, bt.last())
 	}
 	st.synced += uint64(len(done))
-	m.durableRecs += recs
 	m.synced.Add(int64(recs))
 	for ; served > 1; served-- {
 		m.grouped.Add(1)
@@ -689,64 +740,73 @@ func (m *Manager) sortedDurableLocked() []*batch {
 	return out
 }
 
+// streamDevices returns the devices the streams write to.
+func (m *Manager) streamDevices() []disk.Device {
+	devs := make([]disk.Device, len(m.streams))
+	for i, st := range m.streams {
+		devs[i] = st.dev
+	}
+	return devs
+}
+
 // RecoveredEntries returns the durable records with their transaction
-// ids in LSN order — the input to the engine's redo recovery.
+// ids in LSN order — the input to the engine's redo recovery. Only the
+// watermark snapshot (and, in logical mode, the durable batch list) is
+// taken under the manager's mutex. In physical mode the records are then
+// decoded from the devices' acked images, and only LSNs in the snapshot
+// are kept. That is exactly the set the manager completed: an acked image
+// may also hold frames whose fsync raced a crash, or that completed after
+// the snapshot.
 func (m *Manager) RecoveredEntries() []Entry {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Entry
-	for _, bt := range m.sortedDurableLocked() {
+	keep := m.durableRangesLocked()
+	bts := m.sortedDurableLocked()
+	m.mu.Unlock()
+	var all []Entry
+	if m.phys {
+		all = AckedDeviceEntries(m.streamDevices()...)
+	}
+	for _, bt := range bts {
 		start := 0
 		for i, end := range bt.ends {
-			out = append(out, Entry{LSN: bt.first + LSN(i), Txn: bt.txn, Payload: bt.data[start:end:end]})
+			all = append(all, Entry{LSN: bt.first + LSN(i), Txn: bt.txn, Payload: bt.data[start:end:end]})
 			start = end
+		}
+	}
+	out := all[:0]
+	for _, e := range all {
+		if keep.covers(e.LSN, e.LSN) {
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
 // Truncate discards durable records with LSN below `before` — the log
-// reclamation step after a checkpoint. Non-durable records are never
-// discarded regardless of LSN. Surviving records of a partially
-// truncated batch are copied into a fresh buffer so the discarded
-// payload bytes are actually released, not pinned by the old backing
-// array.
+// reclamation step after a checkpoint. The bound is clamped to
+// contig+1, so a record that is not durable is never discarded. In
+// logical mode whole batches below the bound are dropped; a batch that
+// straddles it is kept and RecoveredEntries hides its records below the
+// bound. In physical mode there is nothing in memory to drop.
 func (m *Manager) Truncate(before LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return m.err
 	}
-	if before > m.truncLow {
-		m.truncLow = before
+	before = min(before, m.contig+1)
+	if before <= m.truncLow {
+		return nil
 	}
-	kept := make([]*batch, 0, len(m.durable))
-	recs := 0
+	m.truncLow = before
+	kept := m.durable[:0]
 	for _, bt := range m.durable {
-		switch {
-		case bt.last() < before:
-			continue // fully truncated; batch memory is released
-		case bt.first >= before:
+		if bt.last() >= before {
 			kept = append(kept, bt)
-			recs += len(bt.ends)
-		default:
-			drop := int(before - bt.first)
-			start := bt.ends[drop-1]
-			nb := &batch{
-				txn:   bt.txn,
-				first: before,
-				data:  append([]byte(nil), bt.data[start:]...),
-				ends:  make([]int, len(bt.ends)-drop),
-			}
-			for i := range nb.ends {
-				nb.ends[i] = bt.ends[drop+i] - start
-			}
-			kept = append(kept, nb)
-			recs += len(nb.ends)
 		}
 	}
+	clear(m.durable[len(kept):])
 	m.durable = kept
-	m.durableRecs = recs
 	return nil
 }
 
@@ -760,11 +820,11 @@ func (m *Manager) Recovered() [][]byte {
 	return out
 }
 
-// DurableCount returns how many records are durable.
+// DurableCount returns how many records are durable and not truncated.
 func (m *Manager) DurableCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.durableRecs
+	return m.durableRangesLocked().count()
 }
 
 // DurableWatermark returns the global durable watermark: the highest LSN
@@ -793,94 +853,101 @@ func (m *Manager) StreamWatermarks() []LSN {
 //
 // Invariants checked:
 //
-//   - durable batches are well-formed and non-overlapping in LSN space;
-//   - durableRecs equals the record count of the durable set;
-//   - every LSN in [max(1,truncate bound), DurableWatermark] is covered
-//     by exactly one durable batch (the watermark promise);
+//   - the truncation bound never passes contig+1;
+//   - logical mode: durable batches are well-formed, non-overlapping in
+//     LSN space, not wholly below the truncation bound, and cover
+//     exactly the LSNs the watermark says are durable;
+//   - physical mode: every LSN the watermark says is durable is present
+//     in the devices' acked images;
 //   - parked out-of-order ranges are sorted, disjoint, and strictly
 //     above the watermark with a real gap below them;
 //   - every stream's counters are ordered (synced ≤ written ≤ enq) and
 //     the per-transaction pending counts add up to them.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	sorted := m.sortedDurableLocked()
-	recs := 0
-	var prevLast LSN
-	for i, bt := range sorted {
-		if len(bt.ends) == 0 || bt.first == 0 {
-			return fmt.Errorf("wal: durable batch %d malformed (first=%d nrec=%d)", i, bt.first, len(bt.ends))
-		}
-		if i > 0 && bt.first <= prevLast {
-			return fmt.Errorf("wal: durable batches overlap: batch %d first=%d <= prev last=%d", i, bt.first, prevLast)
-		}
-		prevLast = bt.last()
-		recs += len(bt.ends)
+	keep, err := m.checkLocked()
+	m.mu.Unlock()
+	if err != nil || !m.phys {
+		return err
 	}
-	if recs != m.durableRecs {
-		return fmt.Errorf("wal: durableRecs=%d but durable batches hold %d records", m.durableRecs, recs)
-	}
-	low := LSN(1)
-	if m.truncLow > low {
-		low = m.truncLow
-	}
-	if m.contig >= low {
-		want := low
-		for _, bt := range sorted {
-			if bt.last() < low {
-				continue
-			}
-			if bt.first > m.contig {
-				break
-			}
-			first := bt.first
-			if first < low {
-				first = low
-			}
-			if first != want {
-				return fmt.Errorf("wal: durable gap below watermark: want LSN %d, next batch starts at %d (watermark=%d)", want, first, m.contig)
-			}
-			want = bt.last() + 1
-			if want > m.contig {
-				break
-			}
-		}
-		if want <= m.contig {
-			return fmt.Errorf("wal: durable coverage ends at %d but watermark is %d", want-1, m.contig)
+	// Acked images only grow, so reading them after the snapshot can
+	// only find more. MergeEntries leaves the LSNs strictly increasing,
+	// so a range is present iff both ends sit the right distance apart.
+	have := AckedDeviceEntries(m.streamDevices()...)
+	for _, r := range keep {
+		i := sort.Search(len(have), func(i int) bool { return have[i].LSN >= r.first })
+		j := i + int(r.last-r.first)
+		if j >= len(have) || have[i].LSN != r.first || have[j].LSN != r.last {
+			return fmt.Errorf("wal: durable LSNs %d-%d are not all in the devices' acked images", r.first, r.last)
 		}
 	}
+	return nil
+}
+
+// checkLocked audits the in-memory bookkeeping and returns the durable
+// watermark snapshot. Caller holds m.mu.
+func (m *Manager) checkLocked() (lsnRanges, error) {
 	for i, r := range m.ooo {
 		if r.last < r.first {
-			return fmt.Errorf("wal: ooo range %d inverted (%d-%d)", i, r.first, r.last)
+			return nil, fmt.Errorf("wal: ooo range %d inverted (%d-%d)", i, r.first, r.last)
 		}
 		if r.first <= m.contig+1 {
-			return fmt.Errorf("wal: ooo range %d (%d-%d) should have merged into watermark %d", i, r.first, r.last, m.contig)
+			return nil, fmt.Errorf("wal: ooo range %d (%d-%d) should have merged into watermark %d", i, r.first, r.last, m.contig)
 		}
 		if i > 0 && r.first <= m.ooo[i-1].last {
-			return fmt.Errorf("wal: ooo ranges %d and %d overlap", i-1, i)
+			return nil, fmt.Errorf("wal: ooo ranges %d and %d overlap", i-1, i)
+		}
+	}
+	if m.truncLow > m.contig+1 {
+		return nil, fmt.Errorf("wal: truncation bound %d above watermark %d", m.truncLow, m.contig)
+	}
+	keep := m.durableRangesLocked()
+	if !m.phys {
+		low := max(m.truncLow, 1)
+		recs := 0
+		var prevLast LSN
+		for i, bt := range m.sortedDurableLocked() {
+			if len(bt.ends) == 0 || bt.first == 0 {
+				return nil, fmt.Errorf("wal: durable batch %d malformed (first=%d nrec=%d)", i, bt.first, len(bt.ends))
+			}
+			if i > 0 && bt.first <= prevLast {
+				return nil, fmt.Errorf("wal: durable batches overlap: batch %d first=%d <= prev last=%d", i, bt.first, prevLast)
+			}
+			prevLast = bt.last()
+			if prevLast < low {
+				return nil, fmt.Errorf("wal: durable batch %d-%d kept below truncation bound %d", bt.first, prevLast, low)
+			}
+			first := max(bt.first, low)
+			if !keep.covers(first, prevLast) {
+				return nil, fmt.Errorf("wal: durable batch %d-%d outside the durable watermark (contig=%d)", first, prevLast, m.contig)
+			}
+			recs += int(prevLast - first + 1)
+		}
+		if want := keep.count(); recs != want {
+			return nil, fmt.Errorf("wal: durable batches hold %d records from LSN %d but the watermark promises %d", recs, low, want)
 		}
 	}
 	var unwritten, undurable uint64
 	for txn, p := range m.pending {
 		if p.undurable <= 0 || p.unwritten < 0 || p.unwritten > p.undurable {
-			return fmt.Errorf("wal: pending[%d] = %d unwritten, %d undurable", txn, p.unwritten, p.undurable)
+			return nil, fmt.Errorf("wal: pending[%d] = %d unwritten, %d undurable", txn, p.unwritten, p.undurable)
 		}
 		unwritten += uint64(p.unwritten)
 		undurable += uint64(p.undurable)
 	}
 	for _, st := range m.streams {
 		if st.synced > st.written || st.written > st.enq || uint64(len(st.queue)) > st.enq-st.written {
-			return fmt.Errorf("wal: stream %d counters out of order: queue=%d enq=%d written=%d synced=%d",
+			return nil, fmt.Errorf("wal: stream %d counters out of order: queue=%d enq=%d written=%d synced=%d",
 				st.idx, len(st.queue), st.enq, st.written, st.synced)
 		}
 		unwritten -= st.enq - st.written
 		undurable -= st.enq - st.synced
 	}
 	if unwritten != 0 || undurable != 0 {
-		return fmt.Errorf("wal: pending counts and stream counters disagree (unwritten off by %d, undurable by %d)",
+		return nil, fmt.Errorf("wal: pending counts and stream counters disagree (unwritten off by %d, undurable by %d)",
 			int64(unwritten), int64(undurable))
 	}
-	return nil
+	return keep, nil
 }
 
 // Devices returns the manager's log devices (for the torture harness

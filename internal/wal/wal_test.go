@@ -291,3 +291,35 @@ func TestTruncateDropsOnlyDurablePrefix(t *testing.T) {
 		t.Fatalf("non-durable record lost by truncate: %v", entries)
 	}
 }
+
+// TestTruncateInsideBatch: in logical mode a bound that splits a batch
+// keeps the batch whole in memory, but the records below the bound are
+// gone from everything the log reports.
+func TestTruncateInsideBatch(t *testing.T) {
+	m := eagerMgr()
+	defer m.Close()
+	if _, err := m.AppendBatch(1, [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		before LSN
+		want   string
+	}{{2, "bc"}, {1, "bc"}, {4, ""}} {
+		if err := m.Truncate(tc.before); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, p := range m.Recovered() {
+			got += string(p)
+		}
+		if got != tc.want || m.DurableCount() != len(tc.want) {
+			t.Fatalf("after Truncate(%d): recovered %q, DurableCount %d; want %q", tc.before, got, m.DurableCount(), tc.want)
+		}
+	}
+}
