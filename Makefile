@@ -21,12 +21,13 @@ vet:
 # Race-check the concurrent-by-design packages (the lock-free read path,
 # the sharded metrics registry and the stats accumulators it merges,
 # the network session table and the admission queue, the log flushers,
-# the device queues and the lock manager).
+# the device queues, the lock manager, and the workloads' transaction
+# bodies, which run on partition executor goroutines).
 race:
 	$(GO) test -race -short ./internal/btree/... ./internal/buffer/... \
 		./internal/storage/... ./internal/obs/... ./internal/stats/... \
 		./internal/tprofiler/... ./internal/mvcc/... ./internal/exec/... \
-		./internal/engine/... ./internal/partition/... \
+		./internal/engine/... ./internal/partition/... ./internal/workload/... \
 		./internal/server/... ./internal/admit/... \
 		./internal/wal/... ./internal/disk/... ./internal/lock/...
 

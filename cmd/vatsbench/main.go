@@ -203,7 +203,7 @@ func runPartitioned(opts vats.Options, parts, warehouses int, xwh float64, sched
 	}
 	defer pdb.Close()
 
-	wl := vats.NewPartitionedTPCC(warehouses, xwh, xwh)
+	wl := vats.NewPartitionedTPCC(warehouses, xwh)
 	res, err := vats.RunPartitionedBenchmark(pdb, wl, vats.BenchConfig{
 		Clients: clients,
 		Rate:    rate,

@@ -10,7 +10,7 @@ import (
 	"vats/internal/workload"
 )
 
-func openPartitionedTPCC(t *testing.T, parts int, crossPayP float64) (*partition.DB, *workload.PartitionedTPCC) {
+func openPartitionedTPCC(t *testing.T, parts int, cross float64) (*partition.DB, *workload.PartitionedTPCC) {
 	t.Helper()
 	mk := func(name string, s int64) disk.Device {
 		dc := disk.DefaultConfig(name, s)
@@ -34,7 +34,7 @@ func openPartitionedTPCC(t *testing.T, parts int, crossPayP float64) (*partition
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: 4}, crossPayP, crossPayP)
+	wl := workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: 4}, cross)
 	if err := wl.LoadPartitioned(pdb); err != nil {
 		pdb.Close()
 		t.Fatal(err)

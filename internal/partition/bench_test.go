@@ -54,7 +54,7 @@ func openBench(parts int) *partition.DB {
 func benchPartTPCC(b *testing.B, parts int, cross float64) {
 	pdb := openBench(parts)
 	defer pdb.Close()
-	wl := workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: 8}, cross, cross)
+	wl := workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: 8}, cross)
 	if err := wl.LoadPartitioned(pdb); err != nil {
 		b.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 
 	"vats/internal/engine"
 	"vats/internal/partition"
-	"vats/internal/storage"
 	"vats/internal/xrand"
 )
 
@@ -15,29 +13,23 @@ import (
 // a fixed prefix, so the partition-key extractors are pure arithmetic
 // on the primary key. The item table is replicated (H-Store style): it
 // is read-only after load and warehouse-independent, so every partition
-// holds a full copy and reads it locally.
-//
-// CrossPaymentP and CrossOrderP set the multi-partition ratio — the
-// knobs behind the ISSUE's 0% / 5% / 20% sensitivity curve:
-//
-//   - CrossPaymentP is the probability a Payment pays for a customer of
-//     a REMOTE warehouse (the spec's 15% remote-customer rule), making
-//     the transaction two-partition.
-//   - CrossOrderP is the probability a NewOrder sources one line from a
-//     remote supply warehouse (the spec's 1%-per-line rule, folded to a
-//     per-transaction knob).
+// holds a full copy and reads it locally. The transaction bodies are the
+// single engine's; a terminal adds only each transaction's declared
+// partition.Ref set.
 type PartitionedTPCC struct {
 	cfg TPCCConfig
-	// CrossPaymentP is the remote-customer Payment fraction in [0, 1].
-	CrossPaymentP float64
-	// CrossOrderP is the remote-supply NewOrder fraction in [0, 1].
-	CrossOrderP float64
+	// CrossWarehouseP, in [0, 1], sets the multi-partition ratio: it is
+	// the probability that a Payment pays for a customer of a REMOTE
+	// warehouse (the spec's 15% remote-customer rule) and that a
+	// NewOrder sources one line from a remote supply warehouse (the
+	// spec's 1%-per-line rule, folded to a per-transaction draw).
+	CrossWarehouseP float64
 }
 
 // NewPartitionedTPCC builds the partitioned workload.
-func NewPartitionedTPCC(cfg TPCCConfig, crossPaymentP, crossOrderP float64) *PartitionedTPCC {
+func NewPartitionedTPCC(cfg TPCCConfig, crossWarehouseP float64) *PartitionedTPCC {
 	cfg.defaults()
-	return &PartitionedTPCC{cfg: cfg, CrossPaymentP: crossPaymentP, CrossOrderP: crossOrderP}
+	return &PartitionedTPCC{cfg: cfg, CrossWarehouseP: crossWarehouseP}
 }
 
 // Name returns "tpcc-part".
@@ -53,152 +45,56 @@ func tpccPartHistoryKey(wh int, clientTag, counter uint64) uint64 {
 	return uint64(wh)<<40 | (clientTag%(1<<20))<<20 | counter%(1<<20)
 }
 
+// tpccKeyOf maps each partitioned table to its partition-key
+// extractor, which yields the key's warehouse. The item table has none,
+// so it is replicated.
+var tpccKeyOf = map[string]func(k uint64) uint64{
+	"warehouse": func(k uint64) uint64 { return k },
+	"district":  func(k uint64) uint64 { return k / 100 },
+	"customer":  func(k uint64) uint64 { return k / 100_000 },
+	"stock":     func(k uint64) uint64 { return k / 100_000 },
+	"orders":    func(k uint64) uint64 { return k / 100_000_000 },
+	"orderline": func(k uint64) uint64 { return k / 16 / 100_000_000 },
+	"neworder":  func(k uint64) uint64 { return k / 100_000_000 },
+	"history":   func(k uint64) uint64 { return k >> 40 },
+}
+
 // LoadPartitioned creates the nine TPC-C tables on every partition
 // (warehouse-extractor per table) and loads the same seed data as the
 // single-engine loader, routed by warehouse. Tables are created in a
 // fixed order so spaces align across opens (recovery requirement).
 func (w *PartitionedTPCC) LoadPartitioned(pdb *partition.DB) error {
-	cfg := w.cfg
-	warehouse, err := pdb.CreateTable("warehouse", func(k uint64) uint64 { return k })
-	if err != nil {
-		return err
-	}
-	district, err := pdb.CreateTable("district", func(k uint64) uint64 { return k / 100 })
-	if err != nil {
-		return err
-	}
-	customer, err := pdb.CreateTable("customer", func(k uint64) uint64 { return k / 100_000 })
-	if err != nil {
-		return err
-	}
-	item, err := pdb.CreateTable("item", nil) // replicated
-	if err != nil {
-		return err
-	}
-	stock, err := pdb.CreateTable("stock", func(k uint64) uint64 { return k / 100_000 })
-	if err != nil {
-		return err
-	}
-	if _, err := pdb.CreateTable("orders", func(k uint64) uint64 { return k / 100_000_000 }); err != nil {
-		return err
-	}
-	if _, err := pdb.CreateTable("orderline", func(k uint64) uint64 { return k / 16 / 100_000_000 }); err != nil {
-		return err
-	}
-	if _, err := pdb.CreateTable("neworder", func(k uint64) uint64 { return k / 100_000_000 }); err != nil {
-		return err
-	}
-	if _, err := pdb.CreateTable("history", func(k uint64) uint64 { return k >> 40 }); err != nil {
-		return err
-	}
-
-	npart := pdb.Partitions()
-	partOfWH := func(wh int) int { return wh % npart }
-
-	if err := loadPartitioned(pdb, cfg.Warehouses, 50,
-		func(i int) int { return partOfWH(i + 1) },
-		func(tx *engine.Txn, p, i int) error {
-			var b storage.RowBuilder
-			return tx.Insert(warehouse.Shard(p), uint64(i+1),
-				b.Float64(0).String(fmt.Sprintf("WH%03d", i+1)).Bytes())
-		}); err != nil {
-		return err
-	}
-	nd := cfg.Warehouses * cfg.DistrictsPerWarehouse
-	if err := loadPartitioned(pdb, nd, 100,
-		func(i int) int { return partOfWH(i/cfg.DistrictsPerWarehouse + 1) },
-		func(tx *engine.Txn, p, i int) error {
-			wh := i/cfg.DistrictsPerWarehouse + 1
-			d := i%cfg.DistrictsPerWarehouse + 1
-			var b storage.RowBuilder
-			return tx.Insert(district.Shard(p), tpccDistrictKey(wh, d), b.Uint64(1).Float64(0).Bytes())
-		}); err != nil {
-		return err
-	}
-	// Same byName index as the single-engine loader, plus the index-key →
-	// warehouse extractor the router needs to classify IndexScan ranges.
-	if err := customer.CreateIndex("byName", func(pk uint64, img []byte) (uint64, bool) {
-		r := storage.NewRowReader(img)
-		r.Float64()
-		r.Uint64()
-		r.Uint64()
-		name := r.String()
-		if !r.Ok() {
-			return 0, false
-		}
-		return tpccNameIndexKey(pk/1000, tpccNameBucket(name)), true
-	}, func(ikey uint64) uint64 { return ikey / 16 / 100 }); err != nil {
-		return err
-	}
-	nc := nd * cfg.CustomersPerDistrict
-	if err := loadPartitioned(pdb, nc, 200,
-		func(i int) int {
-			di := i / cfg.CustomersPerDistrict
-			return partOfWH(di/cfg.DistrictsPerWarehouse + 1)
-		},
-		func(tx *engine.Txn, p, i int) error {
-			per := cfg.CustomersPerDistrict
-			di := i / per
-			c := i%per + 1
-			wh := di/cfg.DistrictsPerWarehouse + 1
-			d := di%cfg.DistrictsPerWarehouse + 1
-			var b storage.RowBuilder
-			return tx.Insert(customer.Shard(p), tpccCustomerKey(wh, d, c),
-				b.Float64(-10).Uint64(0).Uint64(0).String(fmt.Sprintf("Cust%05d", i)).Bytes())
-		}); err != nil {
-		return err
-	}
-	// Replicated item: full copy on every partition.
-	for p := 0; p < npart; p++ {
-		p := p
-		if err := loadPartitioned(pdb, cfg.Items, 200,
-			func(i int) int { return p },
-			func(tx *engine.Txn, _, i int) error {
-				var b storage.RowBuilder
-				return tx.Insert(item.Shard(p), uint64(i+1),
-					b.Float64(float64(1+i%100)).String(fmt.Sprintf("Item%04d", i+1)).Bytes())
-			}); err != nil {
+	for _, n := range tpccTableNames {
+		if _, err := pdb.CreateTable(n, tpccKeyOf[n]); err != nil {
 			return err
 		}
 	}
-	ns := cfg.Warehouses * cfg.Items
-	return loadPartitioned(pdb, ns, 200,
-		func(i int) int { return partOfWH(i/cfg.Items + 1) },
-		func(tx *engine.Txn, p, i int) error {
-			wh := i/cfg.Items + 1
-			it := i%cfg.Items + 1
-			var b storage.RowBuilder
-			return tx.Insert(stock.Shard(p), tpccStockKey(wh, it), b.Int64(50).Float64(0).Uint64(0).Bytes())
-		})
-}
-
-// loadPartitioned groups row indices 0..n-1 by partition and inserts
-// each partition's rows in batches through the loader path (RunOn).
-func loadPartitioned(pdb *partition.DB, n, batch int, part func(i int) int, ins func(tx *engine.Txn, p, i int) error) error {
-	if ins == nil {
-		return nil
+	// Same byName index as the single-engine loader, plus the index-key →
+	// warehouse extractor the router needs to classify index scan ranges.
+	customer, _ := pdb.Table("customer")
+	if err := customer.CreateIndex("byName", tpccByName, func(ikey uint64) uint64 { return ikey / 16 / 100 }); err != nil {
+		return err
 	}
-	byPart := make([][]int, pdb.Partitions())
-	for i := 0; i < n; i++ {
-		p := part(i)
-		byPart[p] = append(byPart[p], i)
-	}
-	for p, idxs := range byPart {
-		for start := 0; start < len(idxs); start += batch {
-			end := start + batch
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			chunk := idxs[start:end]
-			if err := pdb.RunOn(p, func(tx *engine.Txn) error {
-				for _, i := range chunk {
-					if err := ins(tx, p, i); err != nil {
-						return err
-					}
+	npart := pdb.Partitions()
+	for _, s := range w.cfg.seeds() {
+		t, _ := pdb.Table(s.table)
+		// Each row goes to its warehouse's partition; the replicated item
+		// table is loaded whole into every partition.
+		rows := make([][]int, npart)
+		for i := 0; i < s.n; i++ {
+			wh, _, _ := s.row(i)
+			for p := range rows {
+				if t.Replicated() || p == wh%npart {
+					rows[p] = append(rows[p], i)
 				}
-				return nil
+			}
+		}
+		for p, rs := range rows {
+			if err := loadBatch(pdb.Partition(p), len(rs), s.batch, func(tx *engine.Txn, j int) error {
+				_, key, img := s.row(rs[j])
+				return tx.Insert(t.Shard(p), key, img)
 			}); err != nil {
-				return fmt.Errorf("tpcc-part load partition %d rows %d..%d: %w", p, start, end, err)
+				return fmt.Errorf("tpcc-part load %s on partition %d: %w", s.table, p, err)
 			}
 		}
 	}
@@ -207,43 +103,24 @@ func loadPartitioned(pdb *partition.DB, n, batch int, part func(i int) int, ins 
 
 // NewPartitionedClient returns a TPC-C terminal driving pdb.
 func (w *PartitionedTPCC) NewPartitionedClient(pdb *partition.DB, seed int64) (Client, error) {
-	c := &tpccPartClient{w: w, pdb: pdb, rng: xrand.New(seed), clientTag: uint64(seed)}
-	for _, n := range []string{"warehouse", "district", "customer", "item", "stock", "orders", "orderline", "neworder", "history"} {
-		t, ok := pdb.Table(n)
-		if !ok {
-			return nil, fmt.Errorf("tpcc-part: table %q not loaded", n)
-		}
-		switch n {
-		case "warehouse":
-			c.warehouse = t
-		case "district":
-			c.district = t
-		case "customer":
-			c.customer = t
-		case "item":
-			c.item = t
-		case "stock":
-			c.stock = t
-		case "orders":
-			c.orders = t
-		case "orderline":
-			c.orderline = t
-		case "neworder":
-			c.neworder = t
-		case "history":
-			c.history = t
-		}
+	ts, err := openTPCCTables(pdb.Table)
+	if err != nil {
+		return nil, fmt.Errorf("tpcc-part: %w", err)
 	}
-	return c, nil
+	return &tpccPartClient{
+		tpccDraw:  tpccDraw{rng: xrand.New(seed), cfg: w.cfg},
+		crossP:    w.CrossWarehouseP,
+		pdb:       pdb,
+		tables:    ts,
+		clientTag: uint64(seed),
+	}, nil
 }
 
 type tpccPartClient struct {
-	w   *PartitionedTPCC
-	pdb *partition.DB
-	rng *xrand.Source
-
-	warehouse, district, customer, item, stock *partition.Table
-	orders, orderline, neworder, history       *partition.Table
+	tpccDraw
+	crossP float64
+	pdb    *partition.DB
+	tables tpccTables[*partition.Table]
 
 	clientTag  uint64
 	historyCnt uint64
@@ -265,22 +142,6 @@ func (c *tpccPartClient) Run() (string, error) {
 	}
 }
 
-func (c *tpccPartClient) randWarehouse() int { return c.rng.UniformInt(1, c.w.cfg.Warehouses) }
-func (c *tpccPartClient) randRemoteWarehouse(wh int) int {
-	r := wh
-	for r == wh {
-		r = c.randWarehouse()
-	}
-	return r
-}
-func (c *tpccPartClient) randDistrict() int {
-	return c.rng.UniformInt(1, c.w.cfg.DistrictsPerWarehouse)
-}
-func (c *tpccPartClient) randCustomer() int {
-	return c.rng.NURand(255, 1, c.w.cfg.CustomersPerDistrict)
-}
-func (c *tpccPartClient) randItem() int { return c.rng.NURand(1023, 1, c.w.cfg.Items) }
-
 // chance draws true with probability p.
 func (c *tpccPartClient) chance(p float64) bool {
 	if p <= 0 {
@@ -294,95 +155,38 @@ func (c *tpccPartClient) newOrder() error {
 	d := c.randDistrict()
 	cust := c.randCustomer()
 	nItems := c.rng.UniformInt(5, 15)
-	type line struct {
-		item, supplyWH, qty int
-	}
-	lines := make([]line, nItems)
-	remote := c.w.cfg.Warehouses > 1 && c.chance(c.w.CrossOrderP)
+	lines := make([]tpccLine, nItems)
+	remote := c.cfg.Warehouses > 1 && c.chance(c.crossP)
 	for i := range lines {
 		supply := wh
 		if remote && i == 0 {
 			supply = c.randRemoteWarehouse(wh)
 		}
-		lines[i] = line{item: c.randItem(), supplyWH: supply, qty: c.rng.UniformInt(1, 10)}
+		lines[i] = tpccLine{item: c.randItem(), supplyWH: supply, qty: c.rng.UniformInt(1, 10)}
 	}
 	// Declared key set: the district row pins the home warehouse; each
 	// stock row pins its supply warehouse (remote lines add a
 	// participant). Orders/orderlines/neworder rows derive from the home
 	// district, so the district ref covers them.
 	refs := make([]partition.Ref, 0, 1+len(lines))
-	refs = append(refs, partition.Ref{Table: c.district, Key: tpccDistrictKey(wh, d)})
+	refs = append(refs, partition.Ref{Table: c.tables.district, Key: tpccDistrictKey(wh, d)})
 	for _, ln := range lines {
-		refs = append(refs, partition.Ref{Table: c.stock, Key: tpccStockKey(ln.supplyWH, ln.item)})
+		refs = append(refs, partition.Ref{Table: c.tables.stock, Key: tpccStockKey(ln.supplyWH, ln.item)})
 	}
 	return c.pdb.Run(TagNewOrder, refs, func(tx *partition.Txn) error {
-		dkey := tpccDistrictKey(wh, d)
-		drow, err := tx.GetForUpdate(c.district, dkey)
-		if err != nil {
-			return err
-		}
-		dr := storage.NewRowReader(drow)
-		nextO := dr.Uint64()
-		ytd := dr.Float64()
-		var db2 storage.RowBuilder
-		if err := tx.Update(c.district, dkey, db2.Uint64(nextO+1).Float64(ytd).Bytes()); err != nil {
-			return err
-		}
-		if _, err := tx.Get(c.customer, tpccCustomerKey(wh, d, cust)); err != nil {
-			return err
-		}
-		total := 0.0
-		for i, ln := range lines {
-			irow, err := tx.Get(c.item, uint64(ln.item))
-			if err != nil {
-				return err
-			}
-			price := storage.NewRowReader(irow).Float64()
-			skey := tpccStockKey(ln.supplyWH, ln.item)
-			srow, err := tx.GetForUpdate(c.stock, skey)
-			if err != nil {
-				return err
-			}
-			sr := storage.NewRowReader(srow)
-			qty := sr.Int64()
-			sytd := sr.Float64()
-			scnt := sr.Uint64()
-			newQty := qty - int64(ln.qty)
-			if newQty < 10 {
-				newQty += 91
-			}
-			var sb storage.RowBuilder
-			if err := tx.Update(c.stock, skey, sb.Int64(newQty).Float64(sytd+float64(ln.qty)).Uint64(scnt+1).Bytes()); err != nil {
-				return err
-			}
-			total += price * float64(ln.qty)
-			okey := tpccOrderKey(wh, d, nextO)
-			var ob storage.RowBuilder
-			if err := tx.Insert(c.orderline, tpccOrderLineKey(okey, i),
-				ob.Uint64(uint64(ln.item)).Int64(int64(ln.qty)).Float64(price).Bytes()); err != nil {
-				return err
-			}
-		}
-		okey := tpccOrderKey(wh, d, nextO)
-		var ob storage.RowBuilder
-		if err := tx.Insert(c.orders, okey,
-			ob.Uint64(uint64(cust)).Uint64(uint64(nItems)).Uint64(0).Float64(total).Bytes()); err != nil {
-			return err
-		}
-		var nb storage.RowBuilder
-		return tx.Insert(c.neworder, okey, nb.Uint64(1).Bytes())
+		return c.tables.newOrder(tx, wh, d, cust, lines)
 	})
 }
 
 func (c *tpccPartClient) payment() error {
 	wh := c.randWarehouse()
 	d := c.randDistrict()
-	// Remote customer with probability CrossPaymentP: the paying
-	// customer belongs to another warehouse, making the transaction
+	// Remote customer with probability crossP: the paying customer
+	// belongs to another warehouse, making the transaction
 	// cross-partition (the home warehouse/district rows on one
 	// partition, the customer row and name index on another).
 	cwh, cd := wh, d
-	if c.w.cfg.Warehouses > 1 && c.chance(c.w.CrossPaymentP) {
+	if c.cfg.Warehouses > 1 && c.chance(c.crossP) {
 		cwh = c.randRemoteWarehouse(wh)
 		cd = c.randDistrict()
 	}
@@ -393,64 +197,12 @@ func (c *tpccPartClient) payment() error {
 	c.historyCnt++
 	hkey := tpccPartHistoryKey(wh, c.clientTag, c.historyCnt)
 	refs := []partition.Ref{
-		{Table: c.warehouse, Key: uint64(wh)},
-		{Table: c.customer, Key: tpccCustomerKey(cwh, cd, cust)},
+		{Table: c.tables.warehouse, Key: uint64(wh)},
+		{Table: c.tables.customer, Key: tpccCustomerKey(cwh, cd, cust)},
 	}
 	return c.pdb.Run(TagPayment, refs, func(tx *partition.Txn) error {
-		if byName {
-			ikey := tpccNameIndexKey(tpccDistrictKey(cwh, cd), bucket)
-			var pks []uint64
-			if err := tx.IndexScan(c.customer, "byName", ikey, ikey,
-				func(pk uint64, _ []byte) bool {
-					pks = append(pks, pk)
-					return true
-				}); err != nil {
-				return err
-			}
-			if len(pks) > 0 {
-				cust = int(pks[len(pks)/2] % 1000)
-			}
-		}
-		wrow, err := tx.GetForUpdate(c.warehouse, uint64(wh))
-		if err != nil {
-			return err
-		}
-		wr := storage.NewRowReader(wrow)
-		wytd := wr.Float64()
-		wname := wr.String()
-		var wb storage.RowBuilder
-		if err := tx.Update(c.warehouse, uint64(wh), wb.Float64(wytd+amount).String(wname).Bytes()); err != nil {
-			return err
-		}
-		dkey := tpccDistrictKey(wh, d)
-		drow, err := tx.GetForUpdate(c.district, dkey)
-		if err != nil {
-			return err
-		}
-		dr := storage.NewRowReader(drow)
-		nextO := dr.Uint64()
-		dytd := dr.Float64()
-		var dbld storage.RowBuilder
-		if err := tx.Update(c.district, dkey, dbld.Uint64(nextO).Float64(dytd+amount).Bytes()); err != nil {
-			return err
-		}
-		ckey := tpccCustomerKey(cwh, cd, cust)
-		crow, err := tx.GetForUpdate(c.customer, ckey)
-		if err != nil {
-			return err
-		}
-		cr := storage.NewRowReader(crow)
-		bal := cr.Float64()
-		pays := cr.Uint64()
-		dels := cr.Uint64()
-		cname := cr.String()
-		var cb storage.RowBuilder
-		if err := tx.Update(c.customer, ckey,
-			cb.Float64(bal-amount).Uint64(pays+1).Uint64(dels).String(cname).Bytes()); err != nil {
-			return err
-		}
-		var hb storage.RowBuilder
-		return tx.Insert(c.history, hkey, hb.Uint64(ckey).Float64(amount).Bytes())
+		return c.tables.payment(tx, wh, d, cwh, cd, cust, byName, bucket, amount,
+			func() uint64 { return hkey })
 	})
 }
 
@@ -458,87 +210,18 @@ func (c *tpccPartClient) orderStatus() error {
 	wh := c.randWarehouse()
 	d := c.randDistrict()
 	cust := c.randCustomer()
-	refs := []partition.Ref{{Table: c.district, Key: tpccDistrictKey(wh, d)}}
+	refs := []partition.Ref{{Table: c.tables.district, Key: tpccDistrictKey(wh, d)}}
 	return c.pdb.Run(TagOrderStatus, refs, func(tx *partition.Txn) error {
-		if _, err := tx.Get(c.customer, tpccCustomerKey(wh, d, cust)); err != nil {
-			return err
-		}
-		drow, err := tx.Get(c.district, tpccDistrictKey(wh, d))
-		if err != nil {
-			return err
-		}
-		nextO := storage.NewRowReader(drow).Uint64()
-		if nextO <= 1 {
-			return nil
-		}
-		lo := uint64(1)
-		if nextO > 5 {
-			lo = nextO - 5
-		}
-		return tx.Scan(c.orders, tpccOrderKey(wh, d, lo), tpccOrderKey(wh, d, nextO-1),
-			func(okey uint64, row []byte) bool {
-				tx.Scan(c.orderline, tpccOrderLineKey(okey, 0), tpccOrderLineKey(okey, 15),
-					func(uint64, []byte) bool { return true })
-				return true
-			})
+		return c.tables.orderStatus(tx, wh, d, cust)
 	})
 }
 
 func (c *tpccPartClient) delivery() error {
 	wh := c.randWarehouse()
 	carrier := uint64(c.rng.UniformInt(1, 10))
-	refs := []partition.Ref{{Table: c.warehouse, Key: uint64(wh)}}
+	refs := []partition.Ref{{Table: c.tables.warehouse, Key: uint64(wh)}}
 	return c.pdb.Run(TagDelivery, refs, func(tx *partition.Txn) error {
-		for d := 1; d <= c.w.cfg.DistrictsPerWarehouse; d++ {
-			var oldest uint64
-			base := tpccOrderKey(wh, d, 0)
-			err := tx.Scan(c.neworder, base+1, base+999_999, func(okey uint64, _ []byte) bool {
-				oldest = okey
-				return false
-			})
-			if err != nil {
-				return err
-			}
-			if oldest == 0 {
-				continue
-			}
-			if err := tx.Delete(c.neworder, oldest); err != nil {
-				if errors.Is(err, storage.ErrKeyNotFound) {
-					continue
-				}
-				return err
-			}
-			orow, err := tx.GetForUpdate(c.orders, oldest)
-			if err != nil {
-				return err
-			}
-			or := storage.NewRowReader(orow)
-			custID := or.Uint64()
-			olCount := or.Uint64()
-			or.Uint64()
-			total := or.Float64()
-			var ob storage.RowBuilder
-			if err := tx.Update(c.orders, oldest,
-				ob.Uint64(custID).Uint64(olCount).Uint64(carrier).Float64(total).Bytes()); err != nil {
-				return err
-			}
-			ckey := tpccCustomerKey(wh, d, int(custID))
-			crow, err := tx.GetForUpdate(c.customer, ckey)
-			if err != nil {
-				return err
-			}
-			cr := storage.NewRowReader(crow)
-			bal := cr.Float64()
-			pays := cr.Uint64()
-			dels := cr.Uint64()
-			cname := cr.String()
-			var cb storage.RowBuilder
-			if err := tx.Update(c.customer, ckey,
-				cb.Float64(bal+total).Uint64(pays).Uint64(dels+1).String(cname).Bytes()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return c.tables.delivery(tx, wh, c.cfg.DistrictsPerWarehouse, func() uint64 { return carrier })
 	})
 }
 
@@ -546,43 +229,8 @@ func (c *tpccPartClient) stockLevel() error {
 	wh := c.randWarehouse()
 	d := c.randDistrict()
 	threshold := int64(c.rng.UniformInt(10, 20))
-	refs := []partition.Ref{{Table: c.district, Key: tpccDistrictKey(wh, d)}}
+	refs := []partition.Ref{{Table: c.tables.district, Key: tpccDistrictKey(wh, d)}}
 	return c.pdb.Run(TagStockLevel, refs, func(tx *partition.Txn) error {
-		drow, err := tx.Get(c.district, tpccDistrictKey(wh, d))
-		if err != nil {
-			return err
-		}
-		nextO := storage.NewRowReader(drow).Uint64()
-		if nextO <= 1 {
-			return nil
-		}
-		lo := uint64(1)
-		if nextO > 10 {
-			lo = nextO - 10
-		}
-		seen := map[uint64]bool{}
-		err = tx.Scan(c.orders, tpccOrderKey(wh, d, lo), tpccOrderKey(wh, d, nextO-1),
-			func(okey uint64, _ []byte) bool {
-				tx.Scan(c.orderline, tpccOrderLineKey(okey, 0), tpccOrderLineKey(okey, 15),
-					func(_ uint64, row []byte) bool {
-						seen[storage.NewRowReader(row).Uint64()] = true
-						return true
-					})
-				return true
-			})
-		if err != nil {
-			return err
-		}
-		low := 0
-		for it := range seen {
-			srow, err := tx.Get(c.stock, tpccStockKey(wh, int(it)))
-			if err != nil {
-				return err
-			}
-			if storage.NewRowReader(srow).Int64() < threshold {
-				low++
-			}
-		}
-		return nil
+		return c.tables.stockLevel(tx, wh, d, threshold)
 	})
 }

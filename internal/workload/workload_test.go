@@ -81,34 +81,7 @@ func TestTPCCEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Consistency: per district, next_o_id - 1 == number of orders.
-	district, _ := db.Table("district")
-	orders, _ := db.Table("orders")
-	s := db.NewSession()
-	tx := s.Begin()
-	defer tx.Rollback()
-	totalOrders := 0
-	for wh := 1; wh <= 2; wh++ {
-		for d := 1; d <= 10; d++ {
-			dkey := uint64(wh)*100 + uint64(d)
-			row, err := tx.Get(district, dkey)
-			if err != nil {
-				t.Fatalf("district %d: %v", dkey, err)
-			}
-			nextO := storage.NewRowReader(row).Uint64()
-			count := 0
-			base := dkey * 1_000_000
-			tx.Scan(orders, base, base+999_999, func(uint64, []byte) bool {
-				count++
-				return true
-			})
-			if uint64(count) != nextO-1 {
-				t.Errorf("district %d: next_o_id %d but %d orders", dkey, nextO, count)
-			}
-			totalOrders += count
-		}
-	}
-	if totalOrders == 0 {
+	if n := checkTPCCConsistency(t, db, wl.Config()); n == 0 {
 		t.Error("no orders created")
 	}
 }

@@ -415,11 +415,11 @@ func OpenPartitioned(o Options) (*PartitionedDB, error) {
 
 // NewPartitionedTPCC builds the partition-aware TPC-C workload:
 // hash-partitioned by warehouse with the item table replicated.
-// crossPaymentP and crossOrderP set the remote-customer Payment and
-// remote-supply NewOrder fractions — the multi-partition transaction
-// ratio knobs.
-func NewPartitionedTPCC(warehouses int, crossPaymentP, crossOrderP float64) PartitionedWorkload {
-	return workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: warehouses}, crossPaymentP, crossOrderP)
+// crossWarehouseP is the fraction of Payments paying for a remote
+// warehouse's customer and of NewOrders sourcing a line from a remote
+// warehouse — the multi-partition transaction ratio knob.
+func NewPartitionedTPCC(warehouses int, crossWarehouseP float64) PartitionedWorkload {
+	return workload.NewPartitionedTPCC(workload.TPCCConfig{Warehouses: warehouses}, crossWarehouseP)
 }
 
 // RunPartitionedBenchmark loads wl into pdb and drives it with the same
