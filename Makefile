@@ -18,8 +18,10 @@ short:
 vet:
 	$(GO) vet ./...
 
-# Race-check the concurrent-by-design packages (the lock-free read path,
-# the sharded metrics registry and the stats accumulators it merges,
+# Race-check the concurrent-by-design packages (the lock-free read path:
+# the buffer pool's hit path and its pin-tombstone eviction claim,
+# seqlock table reads and the copy-on-write B+-tree; the sharded metrics
+# registry and the stats accumulators it merges,
 # the network session table and the admission queue, the log flushers,
 # the device queues, the lock manager, and the workloads' transaction
 # bodies, which run on partition executor goroutines).
@@ -46,8 +48,8 @@ bench-json:
 bench-obs-json:
 	sh scripts/bench_json.sh obs BENCH_PR6.json
 
-# Read hot-path benchmark suite at -cpu 1,8 -> BENCH_PR3.json (sharded
-# buffer pool, seqlock table reads, lock-free catalog; see docs/PERF.md).
+# Read hot-path benchmark suite at -cpu 1,8 -> BENCH_PR3.json (lock-free
+# buffer-pool hits, seqlock table reads, lock-free catalog; see docs/PERF.md).
 bench-read-json:
 	sh scripts/bench_json.sh read BENCH_PR3.json
 

@@ -31,7 +31,6 @@ func main() {
 		rate       = flag.Float64("rate", 0, "offered load txn/s (0 = closed loop)")
 		count      = flag.Int("count", 1000, "transactions to measure")
 		pages      = flag.Int("buffer", 4096, "buffer pool pages")
-		shards     = flag.Int("buffer-shards", 0, "buffer pool instances (0 = one)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		obsAddr    = flag.String("obs", "", "serve live /metrics + /debug on this address (e.g. :9090)")
 		sloP99     = flag.Float64("slo-p99", 0, "p99 latency SLO in ms for the variance watchdog (0 = off)")
@@ -58,10 +57,9 @@ func main() {
 	}
 
 	opts := vats.Options{
-		BufferPages:  *pages,
-		BufferShards: *shards,
-		ParallelLog:  *par,
-		Seed:         *seed,
+		BufferPages: *pages,
+		ParallelLog: *par,
+		Seed:        *seed,
 	}
 	switch strings.ToUpper(*sched) {
 	case "VATS":

@@ -6,11 +6,12 @@ import (
 )
 
 // Read-path benchmarks: the buffer-pool hit path that every point read
-// funnels through. The parallel variants are the headline for the
-// sharded page table — run them with -cpu N to model an N-core server
-// (this container exposes one core, so parallelism expresses as OS
-// threads contending for it, which is exactly where a single table
-// mutex convoys). BENCH_PR3.json freezes the pre-shard baseline.
+// funnels through. The parallel variant exercises the lock-free page
+// hash — run it with -cpu N to model an N-core server; on fewer cores
+// than N, parallelism expresses as OS threads contending for them,
+// which is exactly where a table mutex on the hit path would convoy.
+// BENCH_PR3.json freezes the numbers from before the hash went
+// lock-free.
 
 // benchReadPool builds a pool with every page resident so the benchmark
 // exercises the pure hit path (no device, no misses, no evictions).

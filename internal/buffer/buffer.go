@@ -3,8 +3,8 @@
 // simulated disk.
 //
 // MySQL splits its LRU list into a young and an old sublist; new pages
-// enter at the midpoint (head of the old sublist, by default holding 3/8
-// of the pages) and are promoted to the head of the young sublist when
+// enter at the midpoint (head of the old sublist, holding 3/8 of the
+// pages) and are promoted to the head of the young sublist when
 // re-accessed. Promotion ("make young") requires the buffer-pool mutex —
 // buf_pool_mutex_enter — and when the working set exceeds ~5/8 of the
 // pool this mutex becomes the second-largest source of latency variance
@@ -16,15 +16,13 @@
 // successful acquirer. This package implements both policies behind
 // UpdatePolicy so the fig. 3 (left) comparison is a one-line switch.
 //
-// Independent of the LRU policy, the pool is partitioned into
-// Config.Shards instances (MySQL's innodb_buffer_pool_instances): each
-// shard owns a slice of the page hash, its own LRU lists, its own
-// capacity budget, and its own locks, so traffic to different pages
-// rarely meets on a shared line. Within a shard, the page-hash *hit*
-// path is lock-free: buckets are singly-linked chains published with
-// atomic pointers, readers pin frames with a CAS that loses to a
-// concurrent eviction (pins are tombstoned at -1 before a frame leaves
-// the hash), and only the miss/create/evict paths take the shard mutex.
+// The pool is one instance with one LRU lock, the lock §6.1 studies.
+// Its page-hash *hit* path is lock-free: buckets are singly-linked
+// chains published with atomic pointers, readers pin frames with a CAS
+// that loses to a concurrent eviction (pins are tombstoned at -1 before
+// a frame leaves the hash), and only the miss/create/evict paths take
+// the pool mutex. Hits therefore never queue behind the LRU critical
+// section a miss holds, which is part of what fig. 3 (left) measures.
 package buffer
 
 import (
@@ -78,17 +76,17 @@ var (
 	ErrPageExists = errors.New("buffer: page already exists")
 )
 
+const (
+	// spinWait bounds LLU's spin: the paper's 0.01ms.
+	spinWait = 10 * time.Microsecond
+	// backlogLimit caps each handle's deferred-promotion backlog.
+	backlogLimit = 64
+)
+
 // Config configures a Pool.
 type Config struct {
-	// Capacity is the number of page frames, summed over all shards.
+	// Capacity is the number of page frames.
 	Capacity int
-	// Shards is the number of buffer-pool instances the capacity is
-	// split across (MySQL's innodb_buffer_pool_instances). Rounded up
-	// to a power of two; 0 or 1 means a single instance, which keeps
-	// the §6.1 single-mutex contention semantics the shape experiments
-	// rely on. Shard counts that would leave a shard without a frame
-	// are clamped down.
-	Shards int
 	// PageSize is the page size in bytes (default 4096).
 	PageSize int
 	// Device backs page reads and dirty write-backs; nil means a
@@ -96,14 +94,6 @@ type Config struct {
 	Device disk.Device
 	// Policy selects Eager vs Lazy LRU updates.
 	Policy UpdatePolicy
-	// SpinWait bounds LLU's spin (default 10µs, the paper's 0.01ms).
-	SpinWait time.Duration
-	// OldFraction is the old sublist share (default 3/8, InnoDB's
-	// innodb_old_blocks_pct=37).
-	OldFraction float64
-	// BacklogLimit caps each handle's deferred-promotion backlog
-	// (default 64).
-	BacklogLimit int
 	// CriticalCost adds busy work inside the LRU critical section
 	// (promotion and eviction), modelling the multi-core list
 	// maintenance and cache-line cost the paper's buf_pool_mutex_enter
@@ -117,7 +107,7 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// Stats reports pool activity, merged across shards.
+// Stats reports pool activity.
 type Stats struct {
 	Hits         int64
 	Misses       int64
@@ -127,8 +117,7 @@ type Stats struct {
 	Deferred     int64 // promotions pushed to a backlog (LLU)
 	Drained      int64 // backlog entries later applied
 	DroppedDefer int64 // backlog entries dropped (full or evicted)
-	// Mutex is the eager-mode buffer-pool mutex contention profile,
-	// summed over shards (MaxWait is the max across shards).
+	// Mutex is the eager-mode buffer-pool mutex contention profile.
 	Mutex latch.MutexStats
 }
 
@@ -138,12 +127,11 @@ type Stats struct {
 const pinTomb = -1
 
 type frame struct {
-	id    PageID
-	data  []byte
-	shard *shard
+	id   PageID
+	data []byte
 
 	// hashNext chains frames in a page-hash bucket. Written only under
-	// the shard mutex; read lock-free by the hit path.
+	// the pool mutex; read lock-free by the hit path.
 	hashNext atomic.Pointer[frame]
 
 	// pins counts references. 0 = unpinned, >0 = pinned, pinTomb =
@@ -151,14 +139,14 @@ type frame struct {
 	// frame with CAS(0, pinTomb).
 	pins      atomic.Int32
 	dirty     atomic.Bool
-	ioPending atomic.Bool // set under the shard mutex; cleared with Broadcast
+	ioPending atomic.Bool // set under the pool mutex; cleared with Broadcast
 
 	// pageMu guards the page contents for writers (the storage layer's
 	// page latch).
 	pageMu sync.Mutex
 
-	// LRU fields, guarded by the shard's LRU lock; inOld and moveGen are
-	// atomics so the hit fast path can read them without the lock.
+	// LRU fields, guarded by the LRU lock; inOld and moveGen are atomics
+	// so the hit fast path can read them without the lock.
 	prev, next *frame
 	inList     bool
 	inOld      atomic.Bool
@@ -216,11 +204,11 @@ func (fr Frame) Release() {
 	}
 }
 
-// shard is one buffer-pool instance: a slice of the page hash with its
-// own LRU lists, capacity budget, backing store, and locks.
-type shard struct {
-	pool     *Pool
-	capacity int
+// Pool is the buffer pool: a page hash, a young/old LRU list, a backing
+// store, and the locks that guard them.
+type Pool struct {
+	cfg Config
+	met *obs.BufferMetrics
 
 	// Page hash. Readers traverse bucket chains lock-free; all writes
 	// to the chains happen under mu.
@@ -258,20 +246,6 @@ type shard struct {
 	dropped    atomic.Int64
 }
 
-// Pool is the buffer pool: Config.Shards independent instances behind
-// one façade.
-type Pool struct {
-	cfg       Config
-	dev       disk.Device
-	met       *obs.BufferMetrics
-	shards    []*shard
-	shardMask uint64
-}
-
-// shardHashBits is how many low hash bits select the shard; bucket
-// selection uses the bits above so the two choices stay independent.
-const shardHashBits = 12
-
 // hashPageID mixes a PageID into a well-spread 64-bit hash
 // (splitmix64-style finalizer).
 func hashPageID(id PageID) uint64 {
@@ -282,14 +256,6 @@ func hashPageID(id PageID) uint64 {
 	return h
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // NewPool builds a pool from cfg.
 func NewPool(cfg Config) *Pool {
 	if cfg.Capacity <= 0 {
@@ -298,67 +264,26 @@ func NewPool(cfg Config) *Pool {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
 	}
-	if cfg.SpinWait <= 0 {
-		cfg.SpinWait = 10 * time.Microsecond
-	}
-	if cfg.OldFraction <= 0 || cfg.OldFraction >= 1 {
-		cfg.OldFraction = 3.0 / 8.0
-	}
-	if cfg.BacklogLimit <= 0 {
-		cfg.BacklogLimit = 64
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	cfg.Shards = nextPow2(cfg.Shards)
-	if max := 1 << shardHashBits; cfg.Shards > max {
-		cfg.Shards = max
-	}
-	for cfg.Shards > 1 && cfg.Capacity/cfg.Shards < 1 {
-		cfg.Shards >>= 1
+	nb := 8
+	for nb < 2*cfg.Capacity {
+		nb <<= 1
 	}
 	p := &Pool{
-		cfg:       cfg,
-		dev:       cfg.Device,
-		met:       obs.NewBufferMetrics(cfg.Obs, cfg.Policy.String()),
-		shards:    make([]*shard, cfg.Shards),
-		shardMask: uint64(cfg.Shards - 1),
+		cfg:        cfg,
+		met:        obs.NewBufferMetrics(cfg.Obs, cfg.Policy.String()),
+		buckets:    make([]atomic.Pointer[frame], nb),
+		bucketMask: uint64(nb - 1),
+		store:      make(map[PageID][]byte),
 	}
-	base, extra := cfg.Capacity/cfg.Shards, cfg.Capacity%cfg.Shards
-	for i := range p.shards {
-		capi := base
-		if i < extra {
-			capi++
-		}
-		nb := nextPow2(2 * capi)
-		if nb < 8 {
-			nb = 8
-		}
-		s := &shard{
-			pool:       p,
-			capacity:   capi,
-			buckets:    make([]atomic.Pointer[frame], nb),
-			bucketMask: uint64(nb - 1),
-			store:      make(map[PageID][]byte),
-		}
-		s.ioCond = sync.NewCond(&s.mu)
-		p.shards[i] = s
-	}
+	p.ioCond = sync.NewCond(&p.mu)
 	return p
 }
 
-// shardFor routes a page to its shard and bucket index.
-func (p *Pool) shardFor(id PageID) (*shard, uint64) {
-	h := hashPageID(id)
-	s := p.shards[h&p.shardMask]
-	return s, (h >> shardHashBits) & s.bucketMask
-}
+// bucketOf returns id's page-hash bucket index.
+func (p *Pool) bucketOf(id PageID) uint64 { return hashPageID(id) & p.bucketMask }
 
-// Capacity returns the frame capacity summed over shards.
+// Capacity returns the frame capacity.
 func (p *Pool) Capacity() int { return p.cfg.Capacity }
-
-// Shards returns the number of buffer-pool instances.
-func (p *Pool) Shards() int { return len(p.shards) }
 
 // PageSize returns the page size in bytes.
 func (p *Pool) PageSize() int { return p.cfg.PageSize }
@@ -398,25 +323,25 @@ func (p *Pool) NewHandle() *Handle { return &Handle{pool: p} }
 
 // lruLock / lruUnlock wrap whichever primitive the policy uses for
 // unconditional acquisition (miss path, eviction).
-func (s *shard) lruLock() {
-	if s.pool.cfg.Policy == LazyLRU {
-		s.lruLazy.Lock()
+func (p *Pool) lruLock() {
+	if p.cfg.Policy == LazyLRU {
+		p.lruLazy.Lock()
 	} else {
-		s.lruEager.Lock()
+		p.lruEager.Lock()
 	}
 }
 
-func (s *shard) lruUnlock() {
-	if s.pool.cfg.Policy == LazyLRU {
-		s.lruLazy.Unlock()
+func (p *Pool) lruUnlock() {
+	if p.cfg.Policy == LazyLRU {
+		p.lruLazy.Unlock()
 	} else {
-		s.lruEager.Unlock()
+		p.lruEager.Unlock()
 	}
 }
 
-// lookupLocked finds id in the shard's page hash. Caller holds s.mu.
-func (s *shard) lookupLocked(bucket uint64, id PageID) *frame {
-	for f := s.buckets[bucket].Load(); f != nil; f = f.hashNext.Load() {
+// lookupLocked finds id in the page hash. Caller holds p.mu.
+func (p *Pool) lookupLocked(bucket uint64, id PageID) *frame {
+	for f := p.buckets[bucket].Load(); f != nil; f = f.hashNext.Load() {
 		if f.id == id {
 			return f
 		}
@@ -425,19 +350,19 @@ func (s *shard) lookupLocked(bucket uint64, id PageID) *frame {
 }
 
 // hashInsertLocked publishes f at the head of its bucket chain. Caller
-// holds s.mu.
-func (s *shard) hashInsertLocked(bucket uint64, f *frame) {
-	b := &s.buckets[bucket]
+// holds p.mu.
+func (p *Pool) hashInsertLocked(bucket uint64, f *frame) {
+	b := &p.buckets[bucket]
 	f.hashNext.Store(b.Load())
 	b.Store(f)
-	s.resident++
+	p.resident++
 }
 
-// hashRemoveLocked unlinks f from its bucket chain. Caller holds s.mu.
+// hashRemoveLocked unlinks f from its bucket chain. Caller holds p.mu.
 // f's own hashNext is left intact so a lock-free reader standing on f
 // can finish its traversal.
-func (s *shard) hashRemoveLocked(bucket uint64, f *frame) {
-	b := &s.buckets[bucket]
+func (p *Pool) hashRemoveLocked(bucket uint64, f *frame) {
+	b := &p.buckets[bucket]
 	var prev *frame
 	for cur := b.Load(); cur != nil; cur = cur.hashNext.Load() {
 		if cur == f {
@@ -447,7 +372,7 @@ func (s *shard) hashRemoveLocked(bucket uint64, f *frame) {
 			} else {
 				prev.hashNext.Store(next)
 			}
-			s.resident--
+			p.resident--
 			return
 		}
 		prev = cur
@@ -457,49 +382,47 @@ func (s *shard) hashRemoveLocked(bucket uint64, f *frame) {
 // Create allocates a new zeroed page, evicting if necessary. The page is
 // returned pinned and dirty.
 func (p *Pool) Create(id PageID) (Frame, error) {
-	s, bucket := p.shardFor(id)
-	s.storeMu.Lock()
-	if _, ok := s.store[id]; ok {
-		s.storeMu.Unlock()
+	bucket := p.bucketOf(id)
+	p.storeMu.Lock()
+	if _, ok := p.store[id]; ok {
+		p.storeMu.Unlock()
 		return Frame{}, ErrPageExists
 	}
-	s.store[id] = nil // reserve; image written on eviction/flush
-	s.storeMu.Unlock()
+	p.store[id] = nil // reserve; image written on eviction
+	p.storeMu.Unlock()
 
-	s.mu.Lock()
-	if s.lookupLocked(bucket, id) != nil {
-		s.mu.Unlock()
+	p.mu.Lock()
+	if p.lookupLocked(bucket, id) != nil {
+		p.mu.Unlock()
 		return Frame{}, ErrPageExists
 	}
-	f, victim, err := s.installLocked(bucket, id)
+	f, victim, err := p.installLocked(bucket, id)
 	if err != nil {
-		s.mu.Unlock()
-		s.storeMu.Lock()
-		delete(s.store, id) // release the reservation
-		s.storeMu.Unlock()
+		p.mu.Unlock()
+		p.storeMu.Lock()
+		delete(p.store, id) // release the reservation
+		p.storeMu.Unlock()
 		return Frame{}, err
 	}
 	f.ioPending.Store(false) // no read needed for a fresh page
 	f.dirty.Store(true)
-	s.mu.Unlock()
-	s.ioCond.Broadcast()
+	p.mu.Unlock()
+	p.ioCond.Broadcast()
 
-	s.writeBackVictim(victim)
+	p.writeBackVictim(victim)
 	return Frame{f}, nil
 }
 
 // Fetch pins page id, reading it from the backing store on a miss. The
 // Handle's policy applies LRU promotion on hits. The hit path is
-// lock-free: a bucket-chain probe plus a pin CAS. A miss on a shard
+// lock-free: a bucket-chain probe plus a pin CAS. A miss on a pool
 // whose frames are all pinned fails at once with ErrNoVictim rather
 // than waiting for a pin to drop; the server answers that with
 // StatusErr.
 func (h *Handle) Fetch(id PageID) (Frame, error) {
 	p := h.pool
-	hash := hashPageID(id)
-	s := p.shards[hash&p.shardMask]
-	bucket := (hash >> shardHashBits) & s.bucketMask
-	for f := s.buckets[bucket].Load(); f != nil; f = f.hashNext.Load() {
+	bucket := p.bucketOf(id)
+	for f := p.buckets[bucket].Load(); f != nil; f = f.hashNext.Load() {
 		if f.id != id {
 			continue
 		}
@@ -507,98 +430,98 @@ func (h *Handle) Fetch(id PageID) (Frame, error) {
 			break // lost to a concurrent eviction; resolve under the lock
 		}
 		if f.ioPending.Load() {
-			s.mu.Lock()
+			p.mu.Lock()
 			for f.ioPending.Load() {
-				s.ioCond.Wait()
+				p.ioCond.Wait()
 			}
-			s.mu.Unlock()
+			p.mu.Unlock()
 		}
-		s.hits.Add(1)
+		p.hits.Add(1)
 		p.met.Hit()
 		h.touch(f)
 		return Frame{f}, nil
 	}
-	return h.fetchSlow(s, bucket, id)
+	return h.fetchSlow(bucket, id)
 }
 
-// fetchSlow resolves a probe miss under the shard mutex: either the page
+// fetchSlow resolves a probe miss under the pool mutex: either the page
 // appeared concurrently (hit after all) or it must be read from the
 // backing store into a fresh frame.
-func (h *Handle) fetchSlow(s *shard, bucket uint64, id PageID) (Frame, error) {
+func (h *Handle) fetchSlow(bucket uint64, id PageID) (Frame, error) {
 	p := h.pool
-	s.mu.Lock()
-	if f := s.lookupLocked(bucket, id); f != nil {
-		// Frames in the hash can't be tombstoned while we hold s.mu, so
+	p.mu.Lock()
+	if f := p.lookupLocked(bucket, id); f != nil {
+		// Frames in the hash can't be tombstoned while we hold p.mu, so
 		// the pin only races other pinners and must eventually land.
 		if !f.tryPin() {
 			panic("buffer: evicted frame still in page hash")
 		}
 		for f.ioPending.Load() {
-			s.ioCond.Wait()
+			p.ioCond.Wait()
 		}
-		s.mu.Unlock()
-		s.hits.Add(1)
+		p.mu.Unlock()
+		p.hits.Add(1)
 		p.met.Hit()
 		h.touch(f)
 		return Frame{f}, nil
 	}
 
 	// Miss.
-	s.storeMu.Lock()
-	img, ok := s.store[id]
-	s.storeMu.Unlock()
+	p.storeMu.Lock()
+	img, ok := p.store[id]
+	p.storeMu.Unlock()
 	if !ok {
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return Frame{}, ErrPageNotFound
 	}
 	lruStart := time.Now()
-	f, victim, err := s.installLocked(bucket, id)
+	f, victim, err := p.installLocked(bucket, id)
 	if err != nil {
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return Frame{}, err
 	}
 	h.lruWait += time.Since(lruStart)
-	s.mu.Unlock()
-	s.misses.Add(1)
+	p.mu.Unlock()
+	p.misses.Add(1)
 	p.met.Miss()
 
 	ioStart := time.Now()
-	s.writeBackVictim(victim)
-	if p.dev != nil {
-		p.dev.ReadBlock()
+	p.writeBackVictim(victim)
+	if p.cfg.Device != nil {
+		p.cfg.Device.ReadBlock()
 	}
 	h.ioWait += time.Since(ioStart)
 	copy(f.data, img)
 
-	s.mu.Lock()
+	p.mu.Lock()
 	f.ioPending.Store(false)
-	s.mu.Unlock()
-	s.ioCond.Broadcast()
+	p.mu.Unlock()
+	p.ioCond.Broadcast()
 	return Frame{f}, nil
 }
 
 // installLocked allocates a pinned, io-pending frame for id at the LRU
-// midpoint, evicting a victim if the shard is full. Caller holds s.mu.
+// midpoint, evicting a victim if the pool is full. Caller holds p.mu.
 // The returned victim (possibly nil) must be passed to writeBackVictim
-// after releasing s.mu.
-func (s *shard) installLocked(bucket uint64, id PageID) (*frame, *frame, error) {
+// after releasing p.mu.
+func (p *Pool) installLocked(bucket uint64, id PageID) (*frame, *frame, error) {
 	var victim *frame
-	s.lruLock()
+	p.lruLock()
 	var holdStart time.Time
-	if s.pool.met.HoldEnabled() {
+	if p.met.HoldEnabled() {
 		holdStart = time.Now()
 	}
-	if s.total >= s.capacity {
-		victim = s.claimVictimLocked()
+	if p.total >= p.cfg.Capacity {
+		victim = p.claimVictimLocked()
 		if victim == nil {
-			s.lruUnlock()
+			p.lruUnlock()
 			return nil, nil, ErrNoVictim
 		}
-		s.spinCost()
-		s.unlinkLocked(victim)
-		s.hashRemoveLocked((hashPageID(victim.id)>>shardHashBits)&s.bucketMask, victim)
-		s.evictions.Add(1)
-		s.pool.met.Evicted()
+		p.spinCost()
+		p.unlinkLocked(victim)
+		p.hashRemoveLocked(p.bucketOf(victim.id), victim)
+		p.evictions.Add(1)
+		p.met.Evicted()
 		if victim.dirty.Load() {
 			// Publish the image to the backing store *before* the page
 			// leaves the hash, so a concurrent re-fetch cannot read a
@@ -608,56 +531,55 @@ func (s *shard) installLocked(bucket uint64, id PageID) (*frame, *frame, error) 
 			victim.pageMu.Lock()
 			copy(img, victim.data)
 			victim.pageMu.Unlock()
-			s.storeMu.Lock()
-			s.store[victim.id] = img
-			s.storeMu.Unlock()
+			p.storeMu.Lock()
+			p.store[victim.id] = img
+			p.storeMu.Unlock()
 		}
 	}
-	f := &frame{id: id, data: make([]byte, s.pool.cfg.PageSize), shard: s}
+	f := &frame{id: id, data: make([]byte, p.cfg.PageSize)}
 	f.ioPending.Store(true)
 	f.pins.Store(1)
-	s.insertAtMidpointLocked(f)
+	p.insertAtMidpointLocked(f)
 	if !holdStart.IsZero() {
-		s.pool.met.Held(time.Since(holdStart))
+		p.met.Held(time.Since(holdStart))
 	}
-	s.lruUnlock()
-	s.hashInsertLocked(bucket, f)
+	p.lruUnlock()
+	p.hashInsertLocked(bucket, f)
 	return f, victim, nil
 }
 
 // writeBackVictim charges the evicting thread the device write for a
 // dirty victim. The image itself was already published to the backing
-// store under the shard lock (see installLocked).
-func (s *shard) writeBackVictim(victim *frame) {
+// store under the pool mutex (see installLocked).
+func (p *Pool) writeBackVictim(victim *frame) {
 	if victim == nil || !victim.dirty.Load() {
 		return
 	}
-	if s.pool.dev != nil {
-		s.pool.dev.WriteBlock()
+	if p.cfg.Device != nil {
+		p.cfg.Device.WriteBlock()
 	}
-	s.writeBacks.Add(1)
-	s.pool.met.WroteBack()
+	p.writeBacks.Add(1)
+	p.met.WroteBack()
 }
 
 // touch applies the LRU promotion policy to a hit frame.
 func (h *Handle) touch(f *frame) {
-	s := f.shard
+	p := h.pool
 	// Fast path: recently-promoted young pages are not reordered (the
 	// "MySQL does not maintain precise LRU ordering within the young
-	// list" rule), so a well-sized shard rarely touches the LRU lock.
+	// list" rule), so a well-sized pool rarely touches the LRU lock.
 	if !f.inOld.Load() {
-		skip := uint64(s.capacity / 4)
-		if s.gen.Load()-f.moveGen.Load() <= skip {
+		skip := uint64(p.cfg.Capacity / 4)
+		if p.gen.Load()-f.moveGen.Load() <= skip {
 			return
 		}
 	}
-	p := s.pool
 	if p.cfg.Policy == EagerLRU {
 		var start time.Time
 		if h.trackWaits {
 			start = time.Now()
 		}
-		s.lruEager.Lock()
+		p.lruEager.Lock()
 		var acq time.Time
 		if h.trackWaits || p.met.HoldEnabled() {
 			acq = time.Now()
@@ -665,11 +587,11 @@ func (h *Handle) touch(f *frame) {
 		if h.trackWaits {
 			h.lruWait += acq.Sub(start)
 		}
-		s.makeYoungLocked(f)
+		p.makeYoungLocked(f)
 		if p.met.HoldEnabled() && !acq.IsZero() {
 			p.met.Held(time.Since(acq))
 		}
-		s.lruEager.Unlock()
+		p.lruEager.Unlock()
 		return
 	}
 	// LLU: bounded spin; defer on failure.
@@ -677,7 +599,7 @@ func (h *Handle) touch(f *frame) {
 	if h.trackWaits {
 		start = time.Now()
 	}
-	acquired := s.lruLazy.TryLockFor(p.cfg.SpinWait)
+	acquired := p.lruLazy.TryLockFor(spinWait)
 	if h.trackWaits {
 		h.lruWait += time.Since(start)
 	}
@@ -686,50 +608,45 @@ func (h *Handle) touch(f *frame) {
 		if p.met.HoldEnabled() {
 			acq = time.Now()
 		}
-		h.drainBacklogLocked(s)
-		s.makeYoungLocked(f)
+		h.drainBacklogLocked()
+		p.makeYoungLocked(f)
 		if !acq.IsZero() {
 			p.met.Held(time.Since(acq))
 		}
-		s.lruLazy.Unlock()
+		p.lruLazy.Unlock()
 		return
 	}
-	s.deferred.Add(1)
+	p.deferred.Add(1)
 	p.met.Deferred()
-	if len(h.backlog) >= p.cfg.BacklogLimit {
-		s.dropped.Add(1)
+	if len(h.backlog) >= backlogLimit {
+		p.dropped.Add(1)
 		copy(h.backlog, h.backlog[1:])
 		h.backlog = h.backlog[:len(h.backlog)-1]
 	}
 	h.backlog = append(h.backlog, f)
 }
 
-// drainBacklogLocked applies deferred promotions belonging to shard s;
-// caller holds s's lazy LRU lock. Entries for other shards stay queued
-// until one of their promotions takes that shard's lock.
-func (h *Handle) drainBacklogLocked(s *shard) {
+// drainBacklogLocked applies the handle's deferred promotions; caller
+// holds the lazy LRU lock.
+func (h *Handle) drainBacklogLocked() {
+	p := h.pool
 	// The batch pays the critical-section cost once: deferred
 	// promotions are applied together with good locality, which is the
 	// point of batching them.
 	charged := false
-	kept := h.backlog[:0]
 	for _, f := range h.backlog {
-		if f.shard != s {
-			kept = append(kept, f)
-			continue
-		}
 		if f.inList { // "after confirming they have not been evicted"
-			s.makeYoungCosted(f, !charged)
+			p.makeYoungCosted(f, !charged)
 			charged = true
-			s.drained.Add(1)
+			p.drained.Add(1)
 		} else {
-			s.dropped.Add(1)
+			p.dropped.Add(1)
 		}
 	}
-	h.backlog = kept
+	h.backlog = h.backlog[:0]
 }
 
-// --- LRU list internals. All guarded by the shard's LRU lock. ---
+// --- LRU list internals. All guarded by the LRU lock. ---
 
 // spinCost charges the configured critical-section cost while a lock is
 // held. The cost is charged as wall time (sleep): on a single-CPU
@@ -737,133 +654,133 @@ func (h *Handle) drainBacklogLocked(s *shard) {
 // contention could form; sleeping keeps the lock held while other
 // workers genuinely queue on it, as they do on the paper's 8-core
 // server.
-func (s *shard) spinCost() {
-	if s.pool.cfg.CriticalCost <= 0 {
+func (p *Pool) spinCost() {
+	if p.cfg.CriticalCost <= 0 {
 		return
 	}
-	time.Sleep(s.pool.cfg.CriticalCost)
+	time.Sleep(p.cfg.CriticalCost)
 }
 
-func (s *shard) makeYoungLocked(f *frame) {
-	s.makeYoungCosted(f, true)
+func (p *Pool) makeYoungLocked(f *frame) {
+	p.makeYoungCosted(f, true)
 }
 
-func (s *shard) makeYoungCosted(f *frame, charge bool) {
+func (p *Pool) makeYoungCosted(f *frame, charge bool) {
 	if !f.inList {
 		return
 	}
 	if charge {
-		s.spinCost()
+		p.spinCost()
 	}
-	s.unlinkLocked(f)
+	p.unlinkLocked(f)
 	// Insert at head of young list.
 	f.prev = nil
-	f.next = s.head
-	if s.head != nil {
-		s.head.prev = f
+	f.next = p.head
+	if p.head != nil {
+		p.head.prev = f
 	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
+	p.head = f
+	if p.tail == nil {
+		p.tail = f
 	}
 	f.inList = true
 	f.inOld.Store(false)
-	s.total++
-	f.moveGen.Store(s.gen.Add(1))
-	s.makeYoungs.Add(1)
-	s.rebalanceLocked()
+	p.total++
+	f.moveGen.Store(p.gen.Add(1))
+	p.makeYoungs.Add(1)
+	p.rebalanceLocked()
 }
 
 // insertAtMidpointLocked puts f at the head of the old sublist.
-func (s *shard) insertAtMidpointLocked(f *frame) {
-	if s.oldHead == nil {
+func (p *Pool) insertAtMidpointLocked(f *frame) {
+	if p.oldHead == nil {
 		// Old list empty: append at tail.
-		f.prev = s.tail
+		f.prev = p.tail
 		f.next = nil
-		if s.tail != nil {
-			s.tail.next = f
+		if p.tail != nil {
+			p.tail.next = f
 		}
-		s.tail = f
-		if s.head == nil {
-			s.head = f
+		p.tail = f
+		if p.head == nil {
+			p.head = f
 		}
 	} else {
-		f.prev = s.oldHead.prev
-		f.next = s.oldHead
-		if s.oldHead.prev != nil {
-			s.oldHead.prev.next = f
+		f.prev = p.oldHead.prev
+		f.next = p.oldHead
+		if p.oldHead.prev != nil {
+			p.oldHead.prev.next = f
 		} else {
-			s.head = f
+			p.head = f
 		}
-		s.oldHead.prev = f
+		p.oldHead.prev = f
 	}
-	s.oldHead = f
+	p.oldHead = f
 	f.inList = true
 	f.inOld.Store(true)
-	f.moveGen.Store(s.gen.Load())
-	s.total++
-	s.oldCount++
-	s.rebalanceLocked()
+	f.moveGen.Store(p.gen.Load())
+	p.total++
+	p.oldCount++
+	p.rebalanceLocked()
 }
 
-func (s *shard) unlinkLocked(f *frame) {
+func (p *Pool) unlinkLocked(f *frame) {
 	if !f.inList {
 		return
 	}
 	if f.prev != nil {
 		f.prev.next = f.next
 	} else {
-		s.head = f.next
+		p.head = f.next
 	}
 	if f.next != nil {
 		f.next.prev = f.prev
 	} else {
-		s.tail = f.prev
+		p.tail = f.prev
 	}
-	if s.oldHead == f {
-		s.oldHead = f.next // next toward tail stays old (or nil)
+	if p.oldHead == f {
+		p.oldHead = f.next // next toward tail stays old (or nil)
 	}
 	if f.inOld.Load() {
-		s.oldCount--
+		p.oldCount--
 	}
-	s.total--
+	p.total--
 	f.inList = false
 	f.prev, f.next = nil, nil
 }
 
-// rebalanceLocked maintains oldCount ≈ OldFraction * total by moving the
-// young/old boundary.
-func (s *shard) rebalanceLocked() {
-	target := int(float64(s.total) * s.pool.cfg.OldFraction)
-	for s.oldCount < target {
+// rebalanceLocked keeps oldCount ≈ 3/8 of total (InnoDB's
+// innodb_old_blocks_pct=37) by moving the young/old boundary.
+func (p *Pool) rebalanceLocked() {
+	target := p.total * 3 / 8
+	for p.oldCount < target {
 		// Grow old: the youngest-list tail page becomes old.
 		var cand *frame
-		if s.oldHead != nil {
-			cand = s.oldHead.prev
+		if p.oldHead != nil {
+			cand = p.oldHead.prev
 		} else {
-			cand = s.tail
+			cand = p.tail
 		}
 		if cand == nil || cand.inOld.Load() {
 			break
 		}
 		cand.inOld.Store(true)
-		s.oldHead = cand
-		s.oldCount++
+		p.oldHead = cand
+		p.oldCount++
 	}
-	for s.oldCount > target+1 && s.oldHead != nil {
+	for p.oldCount > target+1 && p.oldHead != nil {
 		// Shrink old: promote the old head to young.
-		f := s.oldHead
+		f := p.oldHead
 		f.inOld.Store(false)
-		s.oldHead = f.next
-		s.oldCount--
+		p.oldHead = f.next
+		p.oldCount--
 	}
 }
 
 // claimVictimLocked scans from the tail (the coldest old page) for an
 // unpinned, io-complete frame and claims it with a pin tombstone so no
 // lock-free reader can pin it afterwards.
-func (s *shard) claimVictimLocked() *frame {
-	for f := s.tail; f != nil; f = f.prev {
+func (p *Pool) claimVictimLocked() *frame {
+	for f := p.tail; f != nil; f = f.prev {
 		if f.ioPending.Load() {
 			continue
 		}
@@ -874,104 +791,42 @@ func (s *shard) claimVictimLocked() *frame {
 	return nil
 }
 
-// FlushAll writes every dirty resident page to the backing store (a
-// checkpoint). Pages stay resident.
-func (p *Pool) FlushAll() {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		frames := make([]*frame, 0, s.resident)
-		for i := range s.buckets {
-			for f := s.buckets[i].Load(); f != nil; f = f.hashNext.Load() {
-				frames = append(frames, f)
-			}
-		}
-		s.mu.Unlock()
-		for _, f := range frames {
-			if !f.dirty.Load() {
-				continue
-			}
-			if p.dev != nil {
-				p.dev.WriteBlock()
-			}
-			img := make([]byte, len(f.data))
-			f.pageMu.Lock()
-			copy(img, f.data)
-			f.dirty.Store(false)
-			f.pageMu.Unlock()
-			s.storeMu.Lock()
-			s.store[f.id] = img
-			s.storeMu.Unlock()
-			s.writeBacks.Add(1)
-		}
-	}
-}
-
 // Resident returns the number of pages currently in the pool.
 func (p *Pool) Resident() int {
-	n := 0
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n += s.resident
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.resident
 }
 
-// OldLen returns the old-sublist length summed over shards (for
-// invariant tests).
-func (p *Pool) OldLen() int {
-	n := 0
-	for _, s := range p.shards {
-		s.lruLock()
-		n += s.oldCount
-		s.lruUnlock()
-	}
-	return n
+// oldLen returns the old-sublist length (for invariant tests).
+func (p *Pool) oldLen() int {
+	p.lruLock()
+	defer p.lruUnlock()
+	return p.oldCount
 }
 
-// listLen walks the LRU lists under the shard LRU locks (for invariant
-// tests).
+// listLen walks the LRU list under the LRU lock (for invariant tests).
 func (p *Pool) listLen() int {
+	p.lruLock()
+	defer p.lruUnlock()
 	n := 0
-	for _, s := range p.shards {
-		s.lruLock()
-		for f := s.head; f != nil; f = f.next {
-			n++
-		}
-		s.lruUnlock()
+	for f := p.head; f != nil; f = f.next {
+		n++
 	}
 	return n
 }
 
-// shardCapacities returns each shard's frame budget (for invariant
-// tests).
-func (p *Pool) shardCapacities() []int {
-	caps := make([]int, len(p.shards))
-	for i, s := range p.shards {
-		caps[i] = s.capacity
-	}
-	return caps
-}
-
-// Stats returns a snapshot of counters merged across shards.
+// Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
-	var st Stats
-	for _, s := range p.shards {
-		st.Hits += s.hits.Load()
-		st.Misses += s.misses.Load()
-		st.Evictions += s.evictions.Load()
-		st.WriteBacks += s.writeBacks.Load()
-		st.MakeYoungs += s.makeYoungs.Load()
-		st.Deferred += s.deferred.Load()
-		st.Drained += s.drained.Load()
-		st.DroppedDefer += s.dropped.Load()
-		ms := s.lruEager.Stats()
-		st.Mutex.Acquires += ms.Acquires
-		st.Mutex.Contended += ms.Contended
-		st.Mutex.WaitTime += ms.WaitTime
-		if ms.MaxWait > st.Mutex.MaxWait {
-			st.Mutex.MaxWait = ms.MaxWait
-		}
+	return Stats{
+		Hits:         p.hits.Load(),
+		Misses:       p.misses.Load(),
+		Evictions:    p.evictions.Load(),
+		WriteBacks:   p.writeBacks.Load(),
+		MakeYoungs:   p.makeYoungs.Load(),
+		Deferred:     p.deferred.Load(),
+		Drained:      p.drained.Load(),
+		DroppedDefer: p.dropped.Load(),
+		Mutex:        p.lruEager.Stats(),
 	}
-	return st
 }

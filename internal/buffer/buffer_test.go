@@ -122,12 +122,12 @@ func TestReleasePanicsWhenOverUnpinned(t *testing.T) {
 	fr.Release()
 }
 
-func TestMidpointInsertionAndOldFraction(t *testing.T) {
-	p := NewPool(Config{Capacity: 16, PageSize: 64, OldFraction: 3.0 / 8.0})
+func TestMidpointInsertionAndOldSublistShare(t *testing.T) {
+	p := NewPool(Config{Capacity: 16, PageSize: 64})
 	for i := uint64(1); i <= 16; i++ {
 		mustCreate(t, p, pid(i)).Release()
 	}
-	old := p.OldLen()
+	old := p.oldLen()
 	// target = 6 (16 * 3/8); allow the rebalance hysteresis of ±1.
 	if old < 5 || old > 7 {
 		t.Fatalf("old sublist = %d, want ~6", old)
@@ -189,12 +189,12 @@ func TestHotSetSurvivesScan(t *testing.T) {
 }
 
 func TestLazyLRUDefersUnderContention(t *testing.T) {
-	p := NewPool(Config{Capacity: 64, PageSize: 64, Policy: LazyLRU, SpinWait: time.Microsecond})
+	p := NewPool(Config{Capacity: 64, PageSize: 64, Policy: LazyLRU})
 	for i := uint64(1); i <= 64; i++ {
 		mustCreate(t, p, pid(i)).Release()
 	}
 	// Hold the lazy lock so every promotion attempt times out.
-	p.shards[0].lruLazy.Lock()
+	p.lruLazy.Lock()
 	h := p.NewHandle()
 	for i := uint64(1); i <= 10; i++ {
 		fr, err := h.Fetch(pid(i))
@@ -206,7 +206,7 @@ func TestLazyLRUDefersUnderContention(t *testing.T) {
 	if got := p.Stats().Deferred; got == 0 {
 		t.Fatal("no promotions deferred while the LRU lock was held")
 	}
-	p.shards[0].lruLazy.Unlock()
+	p.lruLazy.Unlock()
 	// Next successful promotion drains the backlog. Page 1 is the LRU
 	// tail and always in the old sublist, so its touch takes the lock.
 	fr, _ := h.Fetch(pid(1))
@@ -217,22 +217,28 @@ func TestLazyLRUDefersUnderContention(t *testing.T) {
 }
 
 func TestLazyBacklogBounded(t *testing.T) {
-	p := NewPool(Config{Capacity: 64, PageSize: 64, Policy: LazyLRU, SpinWait: time.Microsecond, BacklogLimit: 4})
+	p := NewPool(Config{Capacity: 64, PageSize: 64, Policy: LazyLRU})
 	for i := uint64(1); i <= 64; i++ {
 		mustCreate(t, p, pid(i)).Release()
 	}
-	p.shards[0].lruLazy.Lock()
+	// Page 1 is the LRU tail; with the lazy lock held it stays old, so
+	// every fetch of it defers one more promotion.
+	p.lruLazy.Lock()
 	h := p.NewHandle()
-	for i := uint64(1); i <= 20; i++ {
-		fr, _ := h.Fetch(pid(i))
+	const overflow = 16
+	for i := 0; i < backlogLimit+overflow; i++ {
+		fr, err := h.Fetch(pid(1))
+		if err != nil {
+			t.Fatal(err)
+		}
 		fr.Release()
 	}
-	p.shards[0].lruLazy.Unlock()
-	if len(h.backlog) > 4 {
-		t.Fatalf("backlog grew to %d, limit 4", len(h.backlog))
+	p.lruLazy.Unlock()
+	if len(h.backlog) != backlogLimit {
+		t.Fatalf("backlog holds %d, want the limit %d", len(h.backlog), backlogLimit)
 	}
-	if p.Stats().DroppedDefer == 0 {
-		t.Fatal("overflow entries were not dropped")
+	if got := p.Stats().DroppedDefer; got != overflow {
+		t.Fatalf("dropped %d deferred promotions, want %d", got, overflow)
 	}
 }
 
@@ -342,21 +348,76 @@ func TestWritesPersistAcrossEvictionUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestFlushAllClearsDirty(t *testing.T) {
-	p := pool(4, EagerLRU)
-	fr := mustCreate(t, p, pid(1))
-	fr.WithPageLock(func() { fr.Data()[0] = 7 })
-	fr.MarkDirty()
-	fr.Release()
-	p.FlushAll()
-	if p.Stats().WriteBacks == 0 {
-		t.Fatal("flush wrote nothing")
+// TestFetchHitZeroAlloc guards the hit path's 0-alloc property: Frame
+// is a value, the hash probe is lock-free, promotions reuse the backlog
+// slice.
+func TestFetchHitZeroAlloc(t *testing.T) {
+	p := NewPool(Config{Capacity: 64, PageSize: 128})
+	for i := uint64(1); i <= 32; i++ {
+		mustCreate(t, p, pid(i)).Release()
 	}
-	// Second flush should be a no-op.
-	before := p.Stats().WriteBacks
-	p.FlushAll()
-	if p.Stats().WriteBacks != before {
-		t.Fatal("second flush rewrote clean pages")
+	h := p.NewHandle()
+	x := uint64(1)
+	allocs := testing.AllocsPerRun(2000, func() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		fr, err := h.Fetch(pid(x%32 + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per hit, want 0", allocs)
+	}
+}
+
+// TestConcurrentCreateFetchEvictRace aims the race detector at the
+// pin-tombstone protocol: readers race evictors for the same frames.
+// Each goroutine pins one page at a time, and there are no more of them
+// than frames, so a fetch always finds a victim; with more, ErrNoVictim
+// would be the pool's documented answer, not a bug.
+func TestConcurrentCreateFetchEvictRace(t *testing.T) {
+	const capacity = 8
+	p := NewPool(Config{Capacity: capacity, PageSize: 64})
+	const pages = 24
+	for i := uint64(0); i < pages; i++ {
+		fr := mustCreate(t, p, pid(i))
+		fr.WithPageLock(func() { fr.Data()[0] = byte(i) })
+		fr.MarkDirty()
+		fr.Release()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < capacity; g++ {
+		wg.Add(1)
+		seed := uint64(g + 1)
+		go func() {
+			defer wg.Done()
+			h := p.NewHandle()
+			x := seed
+			for i := 0; i < 500; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				id := pid(x % pages)
+				fr, err := h.Fetch(id)
+				if err != nil {
+					t.Errorf("fetch %v: %v", id, err)
+					return
+				}
+				if fr.Data()[0] != byte(id.No) {
+					t.Errorf("page %v corrupt: %d", id, fr.Data()[0])
+					fr.Release()
+					return
+				}
+				fr.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

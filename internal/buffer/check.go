@@ -2,33 +2,31 @@ package buffer
 
 import "fmt"
 
-// CheckInvariants audits every shard's bookkeeping: the LRU list must
-// be a consistent doubly-linked chain partitioned young/old at oldHead
-// with matching counters, the page hash must agree with the list, and
-// no shard may exceed its frame budget. The torture harness calls it
-// at quiescent points; it takes each shard's mutex and LRU lock in the
-// same order as the miss path, so it can run against a live pool.
+// CheckInvariants audits the pool's bookkeeping: the LRU list must be a
+// consistent doubly-linked chain partitioned young/old at oldHead with
+// matching counters, the page hash must agree with the list, and the
+// pool may not exceed its frame budget. The torture harness calls it at
+// quiescent points; it takes the pool mutex and LRU lock in the same
+// order as the miss path, so it can run against a live pool.
 func (p *Pool) CheckInvariants() error {
-	for i, s := range p.shards {
-		if err := s.checkInvariants(); err != nil {
-			return fmt.Errorf("buffer shard %d: %w", i, err)
-		}
+	if err := p.checkInvariants(); err != nil {
+		return fmt.Errorf("buffer: %w", err)
 	}
 	return nil
 }
 
-func (s *shard) checkInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lruLock()
-	defer s.lruUnlock()
+func (p *Pool) checkInvariants() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.lruLock()
+	defer p.lruUnlock()
 
 	// Walk the LRU list forward: link symmetry, young-then-old
 	// partition, counters.
 	inList := make(map[*frame]bool)
 	total, old := 0, 0
 	sawOldHead := false
-	for f := s.head; f != nil; f = f.next {
+	for f := p.head; f != nil; f = f.next {
 		if inList[f] {
 			return fmt.Errorf("LRU list has a cycle at page %v", f.id)
 		}
@@ -37,13 +35,13 @@ func (s *shard) checkInvariants() error {
 		if f.next != nil && f.next.prev != f {
 			return fmt.Errorf("broken back-link after page %v", f.id)
 		}
-		if f.prev == nil && f != s.head {
+		if f.prev == nil && f != p.head {
 			return fmt.Errorf("page %v has nil prev but is not head", f.id)
 		}
 		if !f.inList {
 			return fmt.Errorf("page %v linked but inList=false", f.id)
 		}
-		if f == s.oldHead {
+		if f == p.oldHead {
 			sawOldHead = true
 		}
 		if f.inOld.Load() {
@@ -55,33 +53,34 @@ func (s *shard) checkInvariants() error {
 			return fmt.Errorf("young page %v follows oldHead", f.id)
 		}
 	}
-	if s.oldHead != nil && !sawOldHead {
-		return fmt.Errorf("oldHead %v not on the list", s.oldHead.id)
+	if p.oldHead != nil && !sawOldHead {
+		return fmt.Errorf("oldHead %v not on the list", p.oldHead.id)
 	}
-	if total != s.total {
-		return fmt.Errorf("list holds %d frames, total=%d", total, s.total)
+	if total != p.total {
+		return fmt.Errorf("list holds %d frames, total=%d", total, p.total)
 	}
-	if old != s.oldCount {
-		return fmt.Errorf("list holds %d old frames, oldCount=%d", old, s.oldCount)
+	if old != p.oldCount {
+		return fmt.Errorf("list holds %d old frames, oldCount=%d", old, p.oldCount)
 	}
-	if s.total > s.capacity {
-		return fmt.Errorf("total=%d exceeds capacity %d", s.total, s.capacity)
+	if p.total > p.cfg.Capacity {
+		return fmt.Errorf("total=%d exceeds capacity %d", p.total, p.cfg.Capacity)
 	}
-	if (s.head == nil) != (s.tail == nil) {
+	if (p.head == nil) != (p.tail == nil) {
 		return fmt.Errorf("head/tail nil mismatch")
 	}
-	if s.tail != nil && s.tail.next != nil {
+	if p.tail != nil && p.tail.next != nil {
 		return fmt.Errorf("tail has a next")
 	}
 
-	// The page hash must hold exactly the listed frames, resident must
-	// match, and no hashed frame may be tombstoned.
+	// The page hash must hold exactly the listed frames, each in the
+	// bucket its id hashes to, resident must match, and no hashed frame
+	// may be tombstoned.
 	hashed := 0
-	for i := range s.buckets {
-		for f := s.buckets[i].Load(); f != nil; f = f.hashNext.Load() {
+	for i := range p.buckets {
+		for f := p.buckets[i].Load(); f != nil; f = f.hashNext.Load() {
 			hashed++
-			if f.shard != s {
-				return fmt.Errorf("page %v hashed into a foreign shard", f.id)
+			if p.bucketOf(f.id) != uint64(i) {
+				return fmt.Errorf("page %v hashed into bucket %d, not its own", f.id, i)
 			}
 			if f.pins.Load() < 0 {
 				return fmt.Errorf("page %v tombstoned but still hashed", f.id)
@@ -91,8 +90,8 @@ func (s *shard) checkInvariants() error {
 			}
 		}
 	}
-	if hashed != s.resident {
-		return fmt.Errorf("hash holds %d frames, resident=%d", hashed, s.resident)
+	if hashed != p.resident {
+		return fmt.Errorf("hash holds %d frames, resident=%d", hashed, p.resident)
 	}
 	if hashed != total {
 		return fmt.Errorf("hash holds %d frames, LRU list %d", hashed, total)

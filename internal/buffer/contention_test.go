@@ -16,7 +16,6 @@ func TestCriticalCostCreatesContention(t *testing.T) {
 			Capacity:     64,
 			PageSize:     128,
 			Policy:       policy,
-			SpinWait:     5 * time.Microsecond,
 			CriticalCost: 200 * time.Microsecond,
 		})
 		for i := uint64(1); i <= 64; i++ {

@@ -45,17 +45,10 @@ type Config struct {
 
 	// BufferCapacity is the pool size in pages (default 256).
 	BufferCapacity int
-	// BufferShards is the number of buffer-pool instances the capacity
-	// is split across (MySQL's innodb_buffer_pool_instances; see
-	// buffer.Config.Shards). 0 or 1 keeps the single-instance §6.1
-	// contention semantics.
-	BufferShards int
 	// PageSize in bytes (default 4096).
 	PageSize int
 	// LRUPolicy selects Eager vs Lazy (LLU) LRU updates.
 	LRUPolicy buffer.UpdatePolicy
-	// SpinWait is the LLU spin bound (default 10µs).
-	SpinWait time.Duration
 	// LRUCriticalCost is the simulated cost of the buffer pool's LRU
 	// critical section (see buffer.Config.CriticalCost).
 	LRUCriticalCost time.Duration
@@ -246,11 +239,9 @@ func Open(cfg Config) *DB {
 	})
 	db.pool = buffer.NewPool(buffer.Config{
 		Capacity:     cfg.BufferCapacity,
-		Shards:       cfg.BufferShards,
 		PageSize:     cfg.PageSize,
 		Device:       cfg.DataDevice,
 		Policy:       cfg.LRUPolicy,
-		SpinWait:     cfg.SpinWait,
 		CriticalCost: cfg.LRUCriticalCost,
 		Obs:          ob,
 	})

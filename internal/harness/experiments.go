@@ -89,20 +89,13 @@ func bufferDBPages(seed int64) (int, error) {
 // data device (page misses are cheap; the LRU lock is the contended
 // resource, as in the paper's 2-WH configuration).
 func bufferMode(pool int, policy buffer.UpdatePolicy, seed int64) *engine.DB {
-	return bufferModeSharded(pool, 0, policy, seed)
-}
-
-// bufferModeSharded is bufferMode with the pool split into shards
-// instances (innodb_buffer_pool_instances).
-func bufferModeSharded(pool, shards int, policy buffer.UpdatePolicy, seed int64) *engine.DB {
 	return MySQLMode(ModeOpts{
-		Scheduler:    lock.FCFS{},
-		BufferPages:  pool,
-		BufferShards: shards,
-		PageSize:     1024,
-		DataMedian:   10 * time.Microsecond,
-		LRUPolicy:    policy,
-		Seed:         seed,
+		Scheduler:   lock.FCFS{},
+		BufferPages: pool,
+		PageSize:    1024,
+		DataMedian:  10 * time.Microsecond,
+		LRUPolicy:   policy,
+		Seed:        seed,
 	})
 }
 
@@ -454,38 +447,6 @@ func Figure3LLU(o Opts) (Experiment, error) {
 	fmt.Fprintf(&b, "mean=%.2fx variance=%.2fx p99=%.2fx\n", ratio.Mean, ratio.Variance, ratio.P99)
 	fmt.Fprintf(&b, "original: %s\nLLU:      %s\n", orig.Overall.String(), llu.Overall.String())
 	return Experiment{ID: "fig3L", Title: "Lazy LRU Update", Text: b.String(),
-		Data: map[string]float64{"mean": ratio.Mean, "variance": ratio.Variance, "p99": ratio.P99}}, nil
-}
-
-// Figure3LLUSharded repeats the fig. 3 (left) LLU-vs-eager comparison
-// with the pool split into 4 instances (innodb_buffer_pool_instances).
-// Sharding divides the traffic per LRU lock but each shard keeps the
-// §6.1 contention semantics, so the LLU direction must survive.
-func Figure3LLUSharded(o Opts) (Experiment, error) {
-	o = o.with(800, 16, -1)
-	pages, err := bufferDBPages(o.Seed)
-	if err != nil {
-		return Experiment{}, err
-	}
-	const shards = 4
-	run := func(policy buffer.UpdatePolicy) (Result, error) {
-		return runPooled(func() *engine.DB { return bufferModeSharded(pages/4, shards, policy, o.Seed) },
-			func() workload.Workload { return bufferTPCC() }, o, 2)
-	}
-	orig, err := run(buffer.EagerLRU)
-	if err != nil {
-		return Experiment{}, err
-	}
-	llu, err := run(buffer.LazyLRU)
-	if err != nil {
-		return Experiment{}, err
-	}
-	ratio := stats.RatioOf(orig.Overall, llu.Overall)
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3 (left) with %d buffer-pool instances (ratios orig/LLU)\n", shards)
-	fmt.Fprintf(&b, "mean=%.2fx variance=%.2fx p99=%.2fx\n", ratio.Mean, ratio.Variance, ratio.P99)
-	fmt.Fprintf(&b, "original: %s\nLLU:      %s\n", orig.Overall.String(), llu.Overall.String())
-	return Experiment{ID: "fig3Lsharded", Title: "Lazy LRU Update, sharded pool", Text: b.String(),
 		Data: map[string]float64{"mean": ratio.Mean, "variance": ratio.Variance, "p99": ratio.P99}}, nil
 }
 

@@ -138,40 +138,6 @@ func TestShapeFigure3LLU(t *testing.T) {
 	}
 }
 
-func TestShapeFigure3LLUSharded(t *testing.T) {
-	o := shape(t)
-	exp, err := Figure3LLUSharded(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + exp.Text)
-	// Sharding quarters the traffic per LRU lock, so the eager-mode
-	// convoys are milder than the single-instance run; a single-core
-	// pooled run is also noisier. Retry on fixed seeds before calling a
-	// shape miss a regression (the Table 3 deflake pattern).
-	v := exp.Data["variance"]
-	for _, seed := range []int64{7, 23} {
-		if v >= 1.1 {
-			break
-		}
-		t.Logf("sharded LLU variance ratio %.2f below band (retrying with seed %d)", v, seed)
-		ro := o
-		ro.Seed = seed
-		exp, err = Figure3LLUSharded(ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Log("\n" + exp.Text)
-		v = exp.Data["variance"]
-	}
-	if v < 1.1 {
-		t.Errorf("sharded LLU variance ratio %.2f, want > 1.1 on some retry seed", v)
-	}
-	if exp.Data["mean"] < 0.95 {
-		t.Errorf("sharded LLU mean ratio %.2f: LLU must not cost mean latency", exp.Data["mean"])
-	}
-}
-
 func TestShapeFigure3BufferPool(t *testing.T) {
 	o := shape(t)
 	exp, err := Figure3BufferPool(o)
@@ -230,7 +196,7 @@ func TestShapeFigure4BlockSize(t *testing.T) {
 	// right). The sweet spot is a small effect on a single-core pooled
 	// run, so assert a parity band rather than strict dominance, and
 	// retry on fixed seeds before calling a shape miss a regression
-	// (the Table 3 scheduler / sharded-LLU deflake pattern).
+	// (the Table 3 scheduler deflake pattern).
 	const parity = 0.95
 	bestMid := func(exp Experiment) float64 {
 		best := exp.Data["8K/variance"]

@@ -26,10 +26,6 @@ import (
 type ModeOpts struct {
 	Scheduler   lock.Scheduler
 	BufferPages int
-	// BufferShards splits the pool into that many instances (MySQL's
-	// innodb_buffer_pool_instances). 0 keeps one instance, which the
-	// §6.1 LRU-contention experiments rely on.
-	BufferShards int
 	// PageSize overrides the 4096-byte default.
 	PageSize int
 	// DataMedian overrides the data device's median latency (0 =
@@ -107,10 +103,8 @@ func MySQLMode(o ModeOpts) *engine.DB {
 		LockTimeout:        2 * time.Second,
 		DeadlockInterval:   time.Millisecond,
 		BufferCapacity:     o.BufferPages,
-		BufferShards:       o.BufferShards,
 		PageSize:           pageSize,
 		LRUPolicy:          o.LRUPolicy,
-		SpinWait:           10 * time.Microsecond,
 		LRUCriticalCost:    25 * time.Microsecond,
 		DataDevice:         disk.New(dataCfg),
 		LogDevices:         logs,
@@ -159,7 +153,6 @@ func PostgresMode(o ModeOpts) *engine.DB {
 		LockTimeout:      2 * time.Second,
 		DeadlockInterval: time.Millisecond,
 		BufferCapacity:   o.BufferPages,
-		BufferShards:     o.BufferShards,
 		PageSize:         4096,
 		DataDevice: disk.New(disk.Config{
 			Name:          "data",

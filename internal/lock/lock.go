@@ -254,7 +254,7 @@ func (m *Manager) Close() {
 // Scheduler returns the scheduler in use.
 func (m *Manager) Scheduler() Scheduler { return m.sched }
 
-func (m *Manager) shardFor(k Key) *shard {
+func (m *Manager) shardOf(k Key) *shard {
 	h := uint64(k.Space)*0x9e3779b1 ^ k.ID*0xff51afd7ed558ccd
 	h ^= h >> 33
 	return m.shards[h%uint64(len(m.shards))]
@@ -268,7 +268,7 @@ func (m *Manager) shardFor(k Key) *shard {
 // performs a lock upgrade.
 func (m *Manager) Acquire(owner TxnID, birth time.Time, key Key, mode Mode) error {
 	m.acquires.Add(1)
-	s := m.shardFor(key)
+	s := m.shardOf(key)
 
 	s.mu.Lock()
 	ls := s.locks[key]
@@ -680,7 +680,7 @@ func (m *Manager) grantLocked(s *shard, key Key, ls *lockState, w *Request) {
 
 // Held reports whether owner currently holds a lock on key, and its mode.
 func (m *Manager) Held(owner TxnID, key Key) (Mode, bool) {
-	s := m.shardFor(key)
+	s := m.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ls := s.locks[key]
@@ -697,7 +697,7 @@ func (m *Manager) Held(owner TxnID, key Key) (Mode, bool) {
 
 // QueueLen returns the number of transactions waiting on key.
 func (m *Manager) QueueLen(key Key) int {
-	s := m.shardFor(key)
+	s := m.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ls := s.locks[key]
@@ -709,7 +709,7 @@ func (m *Manager) QueueLen(key Key) int {
 
 // HolderCount returns the number of granted locks on key.
 func (m *Manager) HolderCount(key Key) int {
-	s := m.shardFor(key)
+	s := m.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ls := s.locks[key]

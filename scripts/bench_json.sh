@@ -7,8 +7,10 @@
 #
 # Suites:
 #   commit — the PR-2 commit hot path            -> BENCH_PR2.json
-#   read   — the PR-3 read path, run at -cpu 1,8 -> BENCH_PR3.json
-#            (the -N name suffix distinguishes the goroutine counts)
+#   read   — the read path, run at -cpu 1,8      -> BENCH_PR3.json
+#            (lock-free buffer-pool hits on one pool instance, seqlock
+#            table point reads, catalog lookups; the -N name suffix
+#            distinguishes the goroutine counts)
 #   obs    — the PR-6 observability overhead     -> BENCH_PR6.json
 #            (span capture, sampling decision, variance attribution)
 #   scan   — the PR-7 MVCC scan path             -> BENCH_PR7.json

@@ -294,9 +294,6 @@ type Options struct {
 	LRU LRUPolicy
 	// BufferPages is the buffer pool capacity in pages (default 1024).
 	BufferPages int
-	// BufferShards splits the pool into that many instances (MySQL's
-	// innodb_buffer_pool_instances); 0 keeps a single instance.
-	BufferShards int
 	// PageSize in bytes (default 4096).
 	PageSize int
 	// LockTimeout bounds lock waits (default 2s).
@@ -346,7 +343,6 @@ func (o Options) engineConfig() engine.Config {
 		Scheduler:          o.Scheduler.scheduler(),
 		LockTimeout:        o.LockTimeout,
 		BufferCapacity:     o.BufferPages,
-		BufferShards:       o.BufferShards,
 		PageSize:           o.PageSize,
 		LRUPolicy:          o.LRU.buffer(),
 		DataDevice:         disk.New(dataCfg),
