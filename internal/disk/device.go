@@ -1,44 +1,33 @@
 package disk
 
-import (
-	"time"
-
-	"vats/internal/faultfs"
-)
+import "time"
 
 // Device is the storage-device seam every durability layer (WAL, buffer
 // pool, checkpointer) writes through. Two implementations exist:
 //
 //   - Sim (New): the simulated single-spindle latency model the shape
-//     experiments run against — service times are sampled, bytes are
-//     only stored when a fault plan is attached;
+//     experiments run against — service times are sampled, and the bytes
+//     written are kept in memory;
 //   - File (OpenFile): a real OS file — every WriteData is a pwrite,
 //     every Sync an fdatasync (or a no-op under O_DSYNC), so the
 //     BENCH numbers measure hardware, not a model.
 //
-// The fault hooks (Recording, Plan, DurableImage, ...) make crash
-// semantics uniform across both: a fault plan adjudicates every
-// operation by machine-wide op index, and the durable/acked byte
-// images are what recovery and the torture auditors read back, whether
-// the bytes live in memory or on disk.
+// Both keep a byte stream with the same crash semantics: an optional
+// fault plan adjudicates every operation by machine-wide op index, and
+// the durable/acked byte images are what recovery and the torture
+// auditors read back, whether the bytes live in memory or on disk.
 type Device interface {
-	// Latency-model operations (block-granular, used by the buffer pool
-	// and the WAL's logical mode). They return the time spent.
+	// Latency-model operations, block-granular (the buffer pool uses
+	// the block calls). They return the time spent.
 	WriteBytes(n int) time.Duration
 	Fsync() time.Duration
 	ReadBlock() time.Duration
 	WriteBlock() time.Duration
 
-	// Byte-recording operations (the WAL's physical mode): WriteData
-	// appends to the device's volatile write cache, Sync persists it.
+	// Byte-stream operations (the WAL): WriteData appends to the
+	// device's volatile write cache, Sync persists it.
 	WriteData(p []byte) error
 	Sync() error
-
-	// Recording reports whether WriteData/Sync carry real bytes; the
-	// WAL switches to checksummed physical frames iff this is true.
-	Recording() bool
-	// Plan returns the attached fault plan (nil when fault-free).
-	Plan() *faultfs.Plan
 
 	// Crash-image accessors. DurableImage is the persisted prefix
 	// recovery decodes; AckedImage additionally includes bytes a

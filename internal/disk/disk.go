@@ -49,11 +49,10 @@ type Config struct {
 	// while waiting, so it is opt-in and meant for near-zero-latency
 	// benchmark devices only.
 	PreciseWait bool
-	// Faults attaches a deterministic fault plan and turns the device
-	// into a fault-capable, byte-recording device: the WAL then writes
-	// real framed bytes through WriteData/Sync, and the plan injects
-	// transient I/O errors, dropped fsyncs, stalls, and the machine
-	// crash point (see fault.go). Nil keeps the latency-only device.
+	// Faults attaches a deterministic fault plan to WriteData and Sync:
+	// transient I/O errors, dropped fsyncs, stalls, and the machine crash
+	// point (see fault.go). Nil means no faults; the device records the
+	// bytes written to it either way.
 	Faults *faultfs.Plan
 	// Seed seeds the latency sampler.
 	Seed int64
@@ -102,8 +101,8 @@ type Sim struct {
 	blocks atomic.Int64
 	busyNs atomic.Int64
 
-	// Fault-mode byte store (see fault.go); nil unless cfg.Faults set.
-	fs *faultState
+	// The bytes written through WriteData (see fault.go).
+	img image
 }
 
 // New creates a simulated device from cfg. Zero-valued fields get safe
@@ -119,17 +118,14 @@ func New(cfg Config) *Sim {
 	d.lat = xrand.NewLogNormal(xrand.New(cfg.Seed),
 		float64(cfg.MedianLatency)/float64(time.Millisecond),
 		cfg.Sigma, cfg.TailP, cfg.TailX)
-	if cfg.Faults != nil {
-		d.fs = &faultState{}
-	}
 	return d
 }
 
 // Config returns the device's configuration.
 func (d *Sim) Config() Config { return d.cfg }
 
-// Waiters returns the number of requests currently queued or in service.
-// Parallel logging uses this to pick the less-loaded log device.
+// Waiters returns the number of requests currently queued or in service
+// (introspection; the WAL picks a log stream by its own backlog).
 func (d *Sim) Waiters() int { return int(atomic.LoadInt32(&d.waiters)) }
 
 // WriteBytes performs a buffered write of n bytes: the data is rounded

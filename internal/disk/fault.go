@@ -6,74 +6,100 @@ import (
 	"vats/internal/faultfs"
 )
 
-// Fault-capable mode: when Config.Faults carries a faultfs.Plan the
-// device additionally behaves like a real append-only log file with a
-// volatile write cache. WriteData appends bytes to the cache, Sync
-// persists the cache, and the plan injects transient errors, silently
-// dropped fsyncs, stalls, and the machine crash point. The persisted
-// byte image is what crash recovery reads back — so torn writes, lost
-// suffixes and lying fsyncs all surface exactly where they would on
-// real hardware.
+// Every Sim behaves like a real append-only log file with a volatile
+// write cache: WriteData appends bytes to the cache, Sync persists the
+// cache, and the persisted byte image is what crash recovery reads back.
+// When Config.Faults carries a faultfs.Plan, the plan also injects
+// transient errors, silently dropped fsyncs, stalls and the machine
+// crash point — so torn writes, lost suffixes and lying fsyncs all
+// surface exactly where they would on real hardware.
 //
-// State is a single logical byte stream:
+// State is a single logical byte stream of n bytes:
 //
-//	full[0:durableLen]  — on the platter; survives a crash
-//	full[durableLen:]   — in the volatile write cache
-//	full[0:ackedLen]    — what the device has *claimed* is durable
+//	stream[0:durableLen]  — on the platter; survives a crash
+//	stream[durableLen:n]  — in the volatile write cache
+//	stream[0:ackedLen]    — what the device has *claimed* is durable
 //
 // ackedLen ≥ durableLen exactly when a dropped fsync lied; the torture
 // harness uses the gap to tell forgivable losses (the device lied) from
 // real durability bugs (the WAL acked what it never synced).
-type faultState struct {
-	mu         sync.Mutex
-	full       []byte
+type image struct {
+	mu sync.Mutex
+	// chunks hold the stream in imageChunk-byte pieces, every one full
+	// but the last, so a long log never pays slice-doubling slack.
+	chunks     [][]byte
+	n          int
 	durableLen int
 	ackedLen   int
 	lies       int
 }
 
-// Recording reports whether the device records written bytes (fault
-// mode). The WAL switches to physical framed writes iff this is true.
-func (d *Sim) Recording() bool { return d.fs != nil }
+// imageChunk is the size of one piece of a Sim's byte image.
+const imageChunk = 64 << 10
 
-// Plan returns the attached fault plan (nil when not fault-capable).
-func (d *Sim) Plan() *faultfs.Plan { return d.cfg.Faults }
+// appendLocked adds p to the end of the stream. Caller holds im.mu.
+func (im *image) appendLocked(p []byte) {
+	for len(p) > 0 {
+		if im.n == len(im.chunks)*imageChunk {
+			im.chunks = append(im.chunks, make([]byte, 0, imageChunk))
+		}
+		last := &im.chunks[len(im.chunks)-1]
+		k := min(len(p), imageChunk-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+		im.n += k
+	}
+}
+
+// prefix returns a copy of the first n bytes of the stream (nil when n
+// is 0).
+func (im *image) prefix(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
+	for _, c := range im.chunks {
+		if len(out) == n {
+			break
+		}
+		out = append(out, c[:min(len(c), n-len(out))]...)
+	}
+	return out
+}
 
 // WriteData appends p to the device's volatile write cache, charging
-// the same latency a WriteBytes of len(p) would. Under the fault plan
-// the write may fail transiently (ErrIO, no bytes accepted) or be the
-// crash point, in which case a seeded prefix of p reaches the cache
-// before the machine dies (a torn write; the cache is volatile, so
-// those bytes are lost anyway unless a torn fsync follows).
+// the same latency a WriteBytes of len(p) would. Under a fault plan the
+// write may fail transiently (ErrIO, no bytes accepted) or be the crash
+// point, in which case a seeded prefix of p reaches the cache before the
+// machine dies (a torn write; the cache is volatile, so those bytes are
+// lost anyway unless a torn fsync follows).
 func (d *Sim) WriteData(p []byte) error {
-	if d.fs == nil {
-		panic("disk: WriteData on a device without a fault plan")
+	var o faultfs.Outcome
+	if plan := d.cfg.Faults; plan != nil {
+		if plan.Crashed() {
+			return faultfs.ErrCrashed
+		}
+		o = plan.Next(faultfs.OpWrite)
 	}
-	plan := d.cfg.Faults
-	if plan.Crashed() {
-		return faultfs.ErrCrashed
-	}
-	o := plan.Next(faultfs.OpWrite)
 	blocks := (len(p) + d.cfg.BlockSize - 1) / d.cfg.BlockSize
 	d.serveStalled(blocks, blocks, blocks*d.cfg.BlockSize, o.Stall)
-	switch {
-	case o.Crash:
-		n := int(o.Torn * float64(len(p)))
-		d.fs.mu.Lock()
-		d.fs.full = append(d.fs.full, p[:n]...)
-		d.fs.mu.Unlock()
-		return faultfs.ErrCrashed
-	case o.Err:
+	if o.Err {
 		return faultfs.ErrIO
 	}
-	d.fs.mu.Lock()
-	d.fs.full = append(d.fs.full, p...)
-	d.fs.mu.Unlock()
+	if o.Crash {
+		p = p[:int(o.Torn*float64(len(p)))]
+	}
+	d.img.mu.Lock()
+	d.img.appendLocked(p)
+	d.img.mu.Unlock()
+	if o.Crash {
+		return faultfs.ErrCrashed
+	}
 	return nil
 }
 
 // Sync flushes the write cache to the platter, charging Fsync latency.
-// Outcomes under the fault plan:
+// Outcomes under a fault plan:
 //
 //   - transient error: nothing persists, ErrIO returned;
 //   - dropped fsync:   nothing persists, success returned (the device
@@ -82,31 +108,30 @@ func (d *Sim) WriteData(p []byte) error {
 //     flush), then the machine dies (ErrCrashed);
 //   - otherwise:       the whole cache persists.
 func (d *Sim) Sync() error {
-	if d.fs == nil {
-		panic("disk: Sync on a device without a fault plan")
+	var o faultfs.Outcome
+	if plan := d.cfg.Faults; plan != nil {
+		if plan.Crashed() {
+			return faultfs.ErrCrashed
+		}
+		o = plan.Next(faultfs.OpFsync)
 	}
-	plan := d.cfg.Faults
-	if plan.Crashed() {
-		return faultfs.ErrCrashed
-	}
-	o := plan.Next(faultfs.OpFsync)
 	d.serveStalled(1, 0, 0, o.Stall)
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
+	im := &d.img
+	im.mu.Lock()
+	defer im.mu.Unlock()
 	switch {
 	case o.Crash:
-		pending := len(d.fs.full) - d.fs.durableLen
-		d.fs.durableLen += int(o.Torn * float64(pending))
+		im.durableLen += int(o.Torn * float64(im.n-im.durableLen))
 		return faultfs.ErrCrashed
 	case o.Err:
 		return faultfs.ErrIO
 	case o.DropFsync:
-		d.fs.ackedLen = len(d.fs.full)
-		d.fs.lies++
+		im.ackedLen = im.n
+		im.lies++
 		return nil
 	}
-	d.fs.durableLen = len(d.fs.full)
-	d.fs.ackedLen = len(d.fs.full)
+	im.durableLen = im.n
+	im.ackedLen = im.n
 	return nil
 }
 
@@ -114,39 +139,29 @@ func (d *Sim) Sync() error {
 // persisted prefix of the device's logical stream. This is what crash
 // recovery decodes.
 func (d *Sim) DurableImage() []byte {
-	d.mustFault()
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	return append([]byte(nil), d.fs.full[:d.fs.durableLen]...)
+	d.img.mu.Lock()
+	defer d.img.mu.Unlock()
+	return d.img.prefix(d.img.durableLen)
 }
 
 // AckedImage returns a copy of the bytes the device *claimed* were
 // durable — DurableImage plus anything a dropped fsync lied about.
 func (d *Sim) AckedImage() []byte {
-	d.mustFault()
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	return append([]byte(nil), d.fs.full[:d.fs.ackedLen]...)
+	d.img.mu.Lock()
+	defer d.img.mu.Unlock()
+	return d.img.prefix(d.img.ackedLen)
 }
 
 // Lies returns how many fsyncs the device silently dropped.
 func (d *Sim) Lies() int {
-	d.mustFault()
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	return d.fs.lies
+	d.img.mu.Lock()
+	defer d.img.mu.Unlock()
+	return d.img.lies
 }
 
 // WrittenLen returns the total bytes ever accepted into the cache.
 func (d *Sim) WrittenLen() int {
-	d.mustFault()
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	return len(d.fs.full)
-}
-
-func (d *Sim) mustFault() {
-	if d.fs == nil {
-		panic("disk: fault-state accessor on a device without a fault plan")
-	}
+	d.img.mu.Lock()
+	defer d.img.mu.Unlock()
+	return d.img.n
 }

@@ -3,6 +3,8 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ func faultDev(plan *faultfs.Plan) *Sim {
 }
 
 func TestFaultDeviceWriteSyncPersists(t *testing.T) {
-	d := faultDev(faultfs.NewPlan(1, faultfs.Config{}))
+	d := faultDev(nil) // no plan: the device still keeps its bytes
 	if err := d.WriteData([]byte("hello ")); err != nil {
 		t.Fatal(err)
 	}
@@ -91,5 +93,49 @@ func TestFaultDeviceTransientErrorHasNoEffect(t *testing.T) {
 	}
 	if err := d.Sync(); !errors.Is(err, faultfs.ErrIO) {
 		t.Fatalf("err = %v, want ErrIO", err)
+	}
+}
+
+// TestSimImageHeap guards the memory a Sim's byte image costs: 70 MiB
+// written in seeded pieces may grow the heap by at most the bytes
+// themselves plus 1 MiB. A single append-grown slice would leave ~15%
+// slack at this size (70 MiB of data in an 80 MiB slice).
+func TestSimImageHeap(t *testing.T) {
+	const total = 70 << 20
+	pat := func(k int) byte { return byte(k ^ k>>8 ^ k>>16) }
+	d := New(Config{MedianLatency: time.Nanosecond, BlockSize: 4096, PreciseWait: true})
+	piece := make([]byte, 9000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := rand.New(rand.NewSource(7))
+	for off := 0; off < total; {
+		p := piece[:min(1+r.Intn(9000), total-off)]
+		for i := range p {
+			p[i] = pat(off + i)
+		}
+		if err := d.WriteData(p); err != nil {
+			t.Fatal(err)
+		}
+		off += len(p)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > total+1<<20 {
+		t.Errorf("heap grew %d bytes for a %d-byte image", grew, total)
+	}
+	for name, img := range map[string]func() []byte{"durable": d.DurableImage, "acked": d.AckedImage} {
+		b := img()
+		if len(b) != total {
+			t.Fatalf("%s image holds %d bytes, want %d", name, len(b), total)
+		}
+		for k, c := range b {
+			if c != pat(k) {
+				t.Fatalf("%s image byte %d = %#x, want %#x", name, k, c, pat(k))
+			}
+		}
 	}
 }

@@ -40,10 +40,6 @@ type FileConfig struct {
 	// PreallocBytes sizes the file up front so appends never pay
 	// block-allocation latency spikes mid-run (0 = no preallocation).
 	PreallocBytes int64
-	// WriteBehind makes WriteBlock enqueue the page write to a
-	// background writer instead of blocking the caller; Sync drains the
-	// queue. Meant for the data space, never for a log device.
-	WriteBehind bool
 	// BlockSize is the block-I/O granularity in bytes (default 8192).
 	BlockSize int
 	// Faults attaches a deterministic fault plan: transient I/O errors,
@@ -82,12 +78,6 @@ type File struct {
 	pages     *os.File
 	blkCursor atomic.Int64
 
-	// Write-behind: queued page-write offsets drained by one background
-	// writer; Sync waits for the queue to empty.
-	wbCh   chan int64
-	wbWG   sync.WaitGroup
-	wbPend atomic.Int64
-
 	ops    atomic.Int64
 	bytes  atomic.Int64
 	blocks atomic.Int64
@@ -125,17 +115,11 @@ func OpenFile(cfg FileConfig) (*File, error) {
 			return nil, fmt.Errorf("disk: preallocate %s: %w", cfg.Path, err)
 		}
 	}
-	d := &File{
+	return &File{
 		cfg:  Config{Name: cfg.Name, BlockSize: cfg.BlockSize, Faults: cfg.Faults},
 		fcfg: cfg,
 		f:    f,
-	}
-	if cfg.WriteBehind {
-		d.wbCh = make(chan int64, 256)
-		d.wbWG.Add(1)
-		go d.writeBehindLoop()
-	}
-	return d, nil
+	}, nil
 }
 
 // Config returns the device's configuration surface.
@@ -143,14 +127,6 @@ func (d *File) Config() Config { return d.cfg }
 
 // Waiters returns the number of requests queued or in service.
 func (d *File) Waiters() int { return int(atomic.LoadInt32(&d.waiters)) }
-
-// Recording reports that the device carries real bytes — always true
-// for a file backend, so the WAL uses physical checksummed frames even
-// without a fault plan.
-func (d *File) Recording() bool { return true }
-
-// Plan returns the attached fault plan (nil when fault-free).
-func (d *File) Plan() *faultfs.Plan { return d.fcfg.Faults }
 
 func (d *File) enter() time.Time {
 	w := atomic.AddInt32(&d.waiters, 1)
@@ -245,9 +221,6 @@ func (d *File) Sync() error {
 	if plan != nil {
 		o = plan.Next(faultfs.OpFsync)
 	}
-	if err := d.drainWriteBehind(); err != nil {
-		return err
-	}
 	start := d.enter()
 	if o.Stall > 0 {
 		time.Sleep(o.Stall)
@@ -280,8 +253,8 @@ func (d *File) Sync() error {
 }
 
 // WriteBytes performs a block-rounded buffered write of n payload
-// bytes into the stream (the latency-model entry point; the WAL's
-// physical mode uses WriteData instead).
+// bytes into the stream (the latency-model entry point; the WAL uses
+// WriteData instead).
 func (d *File) WriteBytes(n int) time.Duration {
 	if n <= 0 {
 		return 0
@@ -360,20 +333,10 @@ func (d *File) ReadBlock() time.Duration {
 }
 
 // WriteBlock writes one real block to the pages space (an eviction
-// write-back). With WriteBehind the write is queued to the background
-// writer and the caller pays only the enqueue.
+// write-back).
 func (d *File) WriteBlock() time.Duration {
 	start := time.Now()
-	off := d.nextBlockOffset()
-	if d.wbCh != nil && !d.closed.Load() {
-		d.wbPend.Add(1)
-		d.wbCh <- off
-		d.ops.Add(1)
-		d.blocks.Add(1)
-		d.bytes.Add(int64(d.cfg.BlockSize))
-		return time.Since(start)
-	}
-	d.writeBlockAt(off)
+	d.writeBlockAt(d.nextBlockOffset())
 	d.ops.Add(1)
 	d.blocks.Add(1)
 	d.bytes.Add(int64(d.cfg.BlockSize))
@@ -395,26 +358,6 @@ func (d *File) writeBlockAt(off int64) {
 	_, _ = f.WriteAt(b[:d.cfg.BlockSize], off)
 	*buf = b
 	blockBufs.Put(buf)
-}
-
-func (d *File) writeBehindLoop() {
-	defer d.wbWG.Done()
-	for off := range d.wbCh {
-		d.writeBlockAt(off)
-		d.wbPend.Add(-1)
-	}
-}
-
-// drainWriteBehind waits until every queued page write has reached the
-// OS — Sync's ordering obligation to the data space.
-func (d *File) drainWriteBehind() error {
-	if d.wbCh == nil {
-		return nil
-	}
-	for d.wbPend.Load() > 0 {
-		time.Sleep(10 * time.Microsecond)
-	}
-	return nil
 }
 
 // DurableImage returns the bytes that survive a crash: the prefix the
@@ -471,15 +414,10 @@ func (d *File) Stats() Stats {
 	}
 }
 
-// Close stops the write-behind writer and closes the backing files.
-// Idempotent.
+// Close closes the backing files. Idempotent.
 func (d *File) Close() error {
 	if d.closed.Swap(true) {
 		return nil
-	}
-	if d.wbCh != nil {
-		close(d.wbCh)
-		d.wbWG.Wait()
 	}
 	err := d.f.Close()
 	d.pagesMu.Lock()

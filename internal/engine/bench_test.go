@@ -21,7 +21,6 @@ func benchCfg(policy wal.FlushPolicy, parallel bool) Config {
 	return Config{
 		DataDevice:       fast(1),
 		LogDevices:       logs,
-		ParallelLog:      parallel,
 		FlushPolicy:      policy,
 		LogFlushInterval: time.Millisecond,
 		LockTimeout:      5 * time.Second,

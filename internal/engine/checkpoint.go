@@ -146,6 +146,10 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 	// extra checkpoint fsync is a window a commit can stall behind
 	// (the guardrail BenchmarkCheckpointCommitStall freezes).
 	const flushChunks = 64
+	// chunkPause is the think time after each released chunk: the pacing
+	// that keeps the checkpoint's device writes from monopolizing the log
+	// stream against live group commits (the commit-stall guardrail).
+	const chunkPause = 200 * time.Microsecond
 	rows := uint64(0) // fresh rows physically emitted by THIS checkpoint
 	sinceCommit := 0
 	chunksSinceFlush := 0
@@ -212,9 +216,7 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 					chunksSinceFlush = 0
 				}
 				sinceCommit = 0
-				if db.ckptPause > 0 {
-					time.Sleep(db.ckptPause)
-				}
+				time.Sleep(chunkPause)
 			}
 			return true
 		})
@@ -273,10 +275,8 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 func (db *DB) preserveDecisions(bound wal.LSN) error {
 	// Single-engine deployments never log a decide record, and the scan
 	// below is not free: RecoveredEntries materializes the whole durable
-	// log — in physical mode by reading and decoding the device images,
-	// in logical mode by sorting the durable batch list under the WAL
-	// manager's mutex, the mutex every live Append and Commit takes — so
-	// running it once per checkpoint costs commits. The flag is monotone
+	// log by reading and decoding the device images, so running it once
+	// per checkpoint costs device reads and heap. The flag is monotone
 	// (set by LogDecision and by recovery when the recovered log carries
 	// decides), so skipping while unset can never drop a decision.
 	if !db.hasDecisions.Load() {

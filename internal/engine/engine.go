@@ -10,7 +10,7 @@
 //
 //   - Config.Scheduler:     FCFS (baseline) vs VATS vs RS        (§5)
 //   - Config.LRUPolicy:     EagerLRU vs LazyLRU (LLU)            (§6.1)
-//   - Config.ParallelLog:   single WAL stream vs parallel        (§6.2)
+//   - Config.LogDevices:    one WAL stream vs parallel (two)     (§6.2)
 //   - Config.FlushPolicy:   eager / lazy flush / lazy write      (App. B)
 //   - Config.BufferCapacity and log-device block size            (§7.5)
 package engine
@@ -55,11 +55,9 @@ type Config struct {
 
 	// DataDevice backs page I/O; nil builds a default device.
 	DataDevice disk.Device
-	// LogDevices back the WAL; nil builds one default device. Two or
-	// more with ParallelLog enables parallel logging.
+	// LogDevices back the WAL, one log stream each; nil builds one
+	// default device. Two or more enable parallel logging.
 	LogDevices []disk.Device
-	// ParallelLog lets committers use all log devices concurrently.
-	ParallelLog bool
 	// FlushPolicy is the WAL durability policy.
 	FlushPolicy wal.FlushPolicy
 	// LogFlushInterval is the lazy flusher period (default 5ms).
@@ -91,14 +89,6 @@ type Config struct {
 	// transaction reads the committed state frozen at the transaction's
 	// first scan.
 	ScanIsolation IsolationLevel
-
-	// CkptChunkPause is the think time an online checkpoint inserts
-	// after each streamed chunk's flush — the pacing that keeps the
-	// checkpoint's durability barriers from monopolizing the log
-	// stream lock against live group commits (the commit-stall
-	// guardrail). 0 = the 200µs default; negative disables pacing
-	// (tests that hammer checkpoints back-to-back want the raw speed).
-	CkptChunkPause time.Duration
 
 	// Seed seeds default devices.
 	Seed int64
@@ -159,7 +149,6 @@ type DB struct {
 	ckptMu         sync.Mutex
 	lastEmit       map[uint32]emitInfo
 	decisionPruner func(gtid uint64) bool
-	ckptPause      time.Duration
 
 	nextTxn atomic.Uint64
 	closed  atomic.Bool
@@ -219,14 +208,6 @@ func Open(cfg Config) *DB {
 		clock: mvcc.NewClock(),
 	}
 	db.ckptReg = newCkptRegistry(db.clock)
-	switch {
-	case cfg.CkptChunkPause < 0:
-		db.ckptPause = 0
-	case cfg.CkptChunkPause == 0:
-		db.ckptPause = 200 * time.Microsecond
-	default:
-		db.ckptPause = cfg.CkptChunkPause
-	}
 	db.cat.Store(&catalog{
 		tables:  make(map[string]*storage.Table),
 		bySpace: make(map[uint32]*storage.Table),
@@ -247,7 +228,6 @@ func Open(cfg Config) *DB {
 	})
 	db.log = wal.New(wal.Config{
 		Devices:       cfg.LogDevices,
-		Parallel:      cfg.ParallelLog,
 		Policy:        cfg.FlushPolicy,
 		FlushInterval: cfg.LogFlushInterval,
 		Obs:           ob,

@@ -168,7 +168,6 @@ func matrixOpen(t *testing.T, backend string, parallel bool, policy wal.FlushPol
 	}
 	cfg := fastCfg()
 	cfg.LogDevices = devs
-	cfg.ParallelLog = parallel
 	cfg.FlushPolicy = policy
 	cfg.LogFlushInterval = time.Hour
 	return Open(cfg), devs

@@ -536,7 +536,7 @@ func Figure4Parallel(o Opts) (Experiment, error) {
 		return Experiment{}, err
 	}
 	par, err := runPooled(func() *engine.DB {
-		return PostgresMode(ModeOpts{LogDevices: 2, ParallelLog: true, Seed: o.Seed})
+		return PostgresMode(ModeOpts{LogDevices: 2, Seed: o.Seed})
 	}, wl, o, 3)
 	if err != nil {
 		return Experiment{}, err

@@ -36,8 +36,9 @@ type ModeOpts struct {
 	DataMedian  time.Duration
 	LRUPolicy   buffer.UpdatePolicy
 	FlushPolicy wal.FlushPolicy
-	ParallelLog bool
-	LogDevices  int
+	// LogDevices is the number of log devices, one WAL stream each
+	// (0 = 1; 2 = parallel logging).
+	LogDevices int
 	// LogBlockSize overrides the log device block size (0 = default).
 	LogBlockSize int
 	// LogMedian overrides the log device median latency (0 = default).
@@ -108,7 +109,6 @@ func MySQLMode(o ModeOpts) *engine.DB {
 		LRUCriticalCost:    25 * time.Microsecond,
 		DataDevice:         disk.New(dataCfg),
 		LogDevices:         logs,
-		ParallelLog:        o.ParallelLog,
 		FlushPolicy:        o.FlushPolicy,
 		LogFlushInterval:   5 * time.Millisecond,
 		Profiler:           o.Profiler,
@@ -120,7 +120,7 @@ func MySQLMode(o ModeOpts) *engine.DB {
 
 // PostgresMode builds a Postgres-like engine: the WAL device is slow
 // and highly variable, and all committers serialize on it (the
-// WALWriteLock convoy) unless ParallelLog is set.
+// WALWriteLock convoy) unless LogDevices gives it a second stream.
 func PostgresMode(o ModeOpts) *engine.DB {
 	if o.LogMedian == 0 {
 		o.LogMedian = 1200 * time.Microsecond
@@ -162,7 +162,6 @@ func PostgresMode(o ModeOpts) *engine.DB {
 			Seed:          o.Seed + 10,
 		}),
 		LogDevices:         logs,
-		ParallelLog:        o.ParallelLog,
 		FlushPolicy:        o.FlushPolicy,
 		Profiler:           o.Profiler,
 		SampleAgeRemaining: o.SampleAge,

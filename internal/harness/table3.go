@@ -88,7 +88,7 @@ func Table3(o Opts) (Experiment, error) {
 		return Experiment{}, err
 	}
 	par, err := runPooled(func() *engine.DB {
-		return PostgresMode(ModeOpts{LogDevices: 2, ParallelLog: true, Seed: o.Seed})
+		return PostgresMode(ModeOpts{LogDevices: 2, Seed: o.Seed})
 	}, pgWl, pgOpts, 2)
 	if err != nil {
 		return Experiment{}, err

@@ -234,7 +234,6 @@ func Run(cfg Config) *Result {
 	db := engine.Open(engine.Config{
 		DataDevice:       disk.New(disk.Config{MedianLatency: 5 * time.Microsecond, BlockSize: 4096, Seed: cfg.Seed + 100}),
 		LogDevices:       devs,
-		ParallelLog:      cfg.Parallel,
 		FlushPolicy:      cfg.Policy,
 		LogFlushInterval: time.Millisecond,
 		LockTimeout:      250 * time.Millisecond,

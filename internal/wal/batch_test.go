@@ -83,9 +83,8 @@ func TestWatermarkMonotonic(t *testing.T) {
 		perTxn  = 3
 	)
 	m := New(Config{
-		Devices:  []disk.Device{fastDevice(1), fastDevice(2)},
-		Parallel: true,
-		Policy:   EagerFlush,
+		Devices: []disk.Device{fastDevice(1), fastDevice(2)},
+		Policy:  EagerFlush,
 	})
 	defer m.Close()
 

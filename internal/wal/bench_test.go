@@ -22,21 +22,21 @@ func benchDevice(seed int64) disk.Device {
 // headline number tracked in BENCH_PR2.json.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, bc := range []struct {
-		name     string
-		policy   FlushPolicy
-		parallel bool
+		name    string
+		policy  FlushPolicy
+		devices int
 	}{
-		{"EagerSingle", EagerFlush, false},
-		{"EagerParallel", EagerFlush, true},
-		{"LazyWriteSingle", LazyWrite, false},
-		{"LazyWriteParallel", LazyWrite, true},
+		{"EagerSingle", EagerFlush, 1},
+		{"EagerParallel", EagerFlush, 2},
+		{"LazyWriteSingle", LazyWrite, 1},
+		{"LazyWriteParallel", LazyWrite, 2},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			devs := []disk.Device{benchDevice(1)}
-			if bc.parallel {
-				devs = append(devs, benchDevice(2))
+			var devs []disk.Device
+			for i := 0; i < bc.devices; i++ {
+				devs = append(devs, benchDevice(int64(i+1)))
 			}
-			m := New(Config{Devices: devs, Parallel: bc.parallel, Policy: bc.policy, FlushInterval: time.Millisecond})
+			m := New(Config{Devices: devs, Policy: bc.policy, FlushInterval: time.Millisecond})
 			defer m.Close()
 			payload := make([]byte, 64)
 			var txns atomic.Uint64

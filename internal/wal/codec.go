@@ -9,8 +9,7 @@ import (
 	"vats/internal/disk"
 )
 
-// Physical log frame format. When the log devices are fault-capable
-// (disk.Config.Faults set) the manager serializes every batch into a
+// Log frame format. The manager serializes every batch into a
 // checksummed frame and writes the real bytes through the device's
 // cache/fsync model; crash recovery then decodes the device's durable
 // byte image instead of trusting in-memory bookkeeping. Torn writes
@@ -157,9 +156,9 @@ func MergeEntries(streams ...[]Entry) []Entry {
 	return dedup
 }
 
-// RecoverDeviceEntries decodes and merges the durable images of
-// fault-capable log devices — the physical-truth input to crash
-// recovery after a simulated machine crash.
+// RecoverDeviceEntries decodes and merges the durable images of log
+// devices — the physical-truth input to crash recovery after a
+// simulated machine crash.
 func RecoverDeviceEntries(devs ...disk.Device) []Entry {
 	streams := make([][]Entry, 0, len(devs))
 	for _, d := range devs {

@@ -86,20 +86,19 @@ func fileDev(t *testing.T) disk.Device {
 	return d
 }
 
-// TestPhysicalModeMatchesMemory checks what a physical-mode log reports
-// durable against an independent list of the appended records, before
-// and after a Truncate whose bound splits a batch, on both fault-capable
-// backends.
+// TestPhysicalModeMatchesMemory checks what the log reports durable
+// against an independent list of the appended records, before and after
+// a Truncate whose bound splits a batch, on both device backends.
 func TestPhysicalModeMatchesMemory(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		dev  func(t *testing.T, seed int64) disk.Device
 	}{
-		{"Sim", func(_ *testing.T, seed int64) disk.Device { return physDev(seed, faultfs.Config{}) }},
+		{"Sim", func(_ *testing.T, seed int64) disk.Device { return fastDevice(seed) }},
 		{"File", func(t *testing.T, _ int64) disk.Device { return fileDev(t) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := New(Config{Devices: []disk.Device{tc.dev(t, 1), tc.dev(t, 2)}, Parallel: true})
+			m := New(Config{Devices: []disk.Device{tc.dev(t, 1), tc.dev(t, 2)}})
 			defer m.Close()
 			var want []Entry
 			for txn := uint64(1); txn <= 20; txn++ {
@@ -236,7 +235,7 @@ func TestPhysicalCrashKeepsDurablePrefix(t *testing.T) {
 // really pushes frames into the device cache, and a clean Close makes
 // them durable.
 func TestPhysicalLazyFlushWritesFrames(t *testing.T) {
-	dev := physDev(5, faultfs.Config{})
+	dev := fastDevice(5)
 	m := New(Config{Devices: []disk.Device{dev}, Policy: LazyFlush, FlushInterval: time.Millisecond})
 	for txn := uint64(1); txn <= 10; txn++ {
 		if _, err := m.Append(txn, []byte{byte(txn)}); err != nil {

@@ -42,7 +42,7 @@ func TestFlusherStress(t *testing.T) {
 					Faults:        plan, // one machine: both devices die together
 				})
 			}
-			m := New(Config{Devices: devs, Parallel: true, Policy: EagerFlush})
+			m := New(Config{Devices: devs, Policy: EagerFlush})
 
 			// fine reports whether a call succeeded. Its only acceptable
 			// failure is ErrCrashed once the machine is due to die.

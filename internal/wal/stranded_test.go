@@ -9,11 +9,9 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 )
 
-// flakyDev wraps a fault-capable (recording) device with injectable
-// transient errors.
+// flakyDev wraps a log device with injectable transient errors.
 type flakyDev struct {
 	disk.Device
 	failWrites atomic.Int32 // fail this many WriteData calls
@@ -91,7 +89,7 @@ func wantDurable(t *testing.T, m *Manager, dev disk.Device, n int) {
 func TestWriteErrorUnderFlushBarrier(t *testing.T) {
 	for _, policy := range allPolicies {
 		t.Run(policy.String(), func(t *testing.T) {
-			fd := &flakyDev{Device: physDev(1, faultfs.Config{})}
+			fd := &flakyDev{Device: fastDevice(1)}
 			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: time.Millisecond})
 			defer m.Close()
 			if _, err := m.Append(1, []byte("payload")); err != nil {
@@ -119,7 +117,7 @@ func TestWriteErrorUnderFlushBarrier(t *testing.T) {
 func TestSyncErrorLeavesNothingStranded(t *testing.T) {
 	for _, policy := range allPolicies {
 		t.Run(policy.String(), func(t *testing.T) {
-			fd := &flakyDev{Device: physDev(2, faultfs.Config{})}
+			fd := &flakyDev{Device: fastDevice(2)}
 			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: time.Millisecond})
 			defer m.Close()
 			if _, err := m.Append(1, []byte("payload")); err != nil {
@@ -150,7 +148,7 @@ func TestSyncErrorLeavesNothingStranded(t *testing.T) {
 func TestCommitSyncRacesIntervalFlush(t *testing.T) {
 	for _, policy := range []FlushPolicy{LazyFlush, LazyWrite} {
 		t.Run(policy.String(), func(t *testing.T) {
-			fd := &flakyDev{Device: physDev(3, faultfs.Config{})}
+			fd := &flakyDev{Device: fastDevice(3)}
 			m := New(Config{Devices: []disk.Device{fd}, Policy: policy, FlushInterval: 50 * time.Microsecond})
 			defer m.Close()
 			const workers, per = 4, 50

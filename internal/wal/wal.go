@@ -1,14 +1,14 @@
 // Package wal implements the redo-log manager: LSN allocation, group
 // commit, the three durability policies MySQL exposes through
 // innodb_flush_log_at_trx_commit (eager flush, lazy flush, lazy write —
-// see the paper's Appendix B), and the single-stream vs. parallel logging
-// modes from §4.2/§6.2.
+// see the paper's Appendix B), and single-stream vs. parallel logging
+// (§4.2/§6.2): every log device is one stream.
 //
-// In single-stream mode all committers serialize on one log device — the
-// Postgres WALWriteLock pathology TProfiler identifies as 76.8% of overall
-// latency variance. In parallel mode two (or more) log devices hold
-// independent sets of redo logs and an appending transaction picks the
-// stream with the smaller backlog (§6.2).
+// With one device all committers serialize on it — the Postgres
+// WALWriteLock pathology TProfiler identifies as 76.8% of overall latency
+// variance. With two (or more) the devices hold independent sets of redo
+// logs and an appending transaction picks the stream with the smaller
+// backlog (§6.2).
 //
 // The log is stored as *batches*, not individual records: a transaction
 // hands the manager all of its redo records in one AppendBatch call (one
@@ -16,11 +16,9 @@
 // batch travels queued → written → durable as a unit.
 //
 // What is durable is recorded once, as the durable watermark. A durable
-// batch's bytes live where the device can keep them: on fault-capable
-// (physical) devices the manager forgets a batch once it is fsynced and
-// recovery reads the device images; a latency-model device keeps no
-// bytes, so in logical mode the manager holds durable batches until
-// Truncate.
+// batch's bytes live on the device: batches are written as checksummed
+// frames (codec.go), the manager forgets a batch once it is fsynced, and
+// recovery reads the device images.
 //
 // Each stream has one flusher goroutine, and it is the only code that
 // touches the stream's device. AppendBatch puts a batch on a stream's
@@ -88,13 +86,10 @@ var errClosed = errors.New("wal: log closed")
 
 // Config configures a Manager.
 type Config struct {
-	// Devices are the log devices. One device = single-stream logging
-	// (the Postgres WALWriteLock model); two or more enable parallel
-	// logging when Parallel is set.
+	// Devices are the log devices, one stream each. One device =
+	// single-stream logging (the Postgres WALWriteLock model); two or
+	// more = parallel logging.
 	Devices []disk.Device
-	// Parallel allows committers to use any device concurrently; when
-	// false only Devices[0] is used.
-	Parallel bool
 	// Policy is the durability policy.
 	Policy FlushPolicy
 	// FlushInterval is the flusher's fsync period under the lazy
@@ -168,15 +163,8 @@ type txnPending struct {
 // Manager is the redo-log manager.
 type Manager struct {
 	cfg     Config
-	streams []*stream // one per device in use
+	streams []*stream // one per device
 	met     *obs.WALMetrics
-
-	// phys: the log devices are fault-capable (disk.Config.Faults), so
-	// batches are serialized into checksummed frames and written as real
-	// bytes through the device's cache/fsync model; recovery after a
-	// simulated crash decodes the devices' durable images (codec.go), and
-	// RecoveredEntries decodes their acked images.
-	phys bool
 
 	// next is the last allocated LSN; allocation is a lock-free atomic
 	// add, so concurrent appenders never serialize on LSN assignment.
@@ -193,10 +181,6 @@ type Manager struct {
 	err error
 	// pending holds the transactions with batches not yet durable.
 	pending map[uint64]txnPending
-	// durable holds, in logical mode only, the batches fsynced and not yet
-	// truncated, in completion order. In physical mode it stays empty: the
-	// devices hold those bytes.
-	durable []*batch
 	// marks[i] is the highest LSN stream i has made durable; contig is
 	// the global durable watermark — every LSN ≤ contig is durable. ooo
 	// holds completed ranges waiting for a gap to fill (out-of-order
@@ -278,7 +262,7 @@ type stream struct {
 	unwritten     []*batch // taken off queue, not yet written successfully
 	unsynced      []*batch // written, waiting for an fsync
 	unsyncedBytes int
-	frames        []byte // WriteData scratch (physical mode)
+	frames        []byte // WriteData scratch
 }
 
 // New builds a Manager and starts its flushers. At least one device is
@@ -295,17 +279,7 @@ func New(cfg Config) *Manager {
 	m.reached[written] = sync.NewCond(&m.mu)
 	m.reached[durable] = sync.NewCond(&m.mu)
 	m.marks = make([]LSN, len(cfg.Devices))
-	m.phys = cfg.Devices[0].Recording()
-	for _, d := range cfg.Devices[1:] {
-		if d.Recording() != m.phys {
-			panic("wal: either all log devices must be fault-capable or none")
-		}
-	}
-	devs := cfg.Devices
-	if !cfg.Parallel {
-		devs = devs[:1]
-	}
-	for i, d := range devs {
+	for i, d := range cfg.Devices {
 		st := &stream{idx: i, dev: d, wake: make(chan struct{}, 1)}
 		m.streams = append(m.streams, st)
 		m.flushers.Add(1)
@@ -352,7 +326,7 @@ func (m *Manager) NextLSN() LSN {
 }
 
 // appendBatch allocates bt's LSNs and queues it on the stream with the
-// least backlog (§6.2; stream 0 when not Parallel).
+// least backlog (§6.2).
 func (m *Manager) appendBatch(bt *batch) (LSN, error) {
 	n := len(bt.ends)
 	bt.first = LSN(m.next.Add(uint64(n))) - LSN(n) + 1
@@ -458,10 +432,8 @@ func (m *Manager) reachedLocked(txn uint64, upTo []uint64, want state) bool {
 		}
 		return true
 	}
-	// On a latency-model device the write is a page-cache copy, which
-	// the append already was: nothing to wait for.
 	p, pending := m.pending[txn]
-	return !pending || (want == written && (!m.phys || p.unwritten == 0))
+	return !pending || (want == written && p.unwritten == 0)
 }
 
 // nudgeLocked wakes the flusher of every stream that still has batches
@@ -552,7 +524,7 @@ func (m *Manager) pass(st *stream, sync bool) error {
 		start = time.Now()
 	}
 	if len(st.unwritten) > 0 {
-		if err := m.deviceIO(st, st.unwritten, 0, false); err != nil {
+		if err := m.deviceIO(st, st.unwritten, false); err != nil {
 			return err
 		}
 		m.mu.Lock()
@@ -576,7 +548,7 @@ func (m *Manager) pass(st *stream, sync bool) error {
 	if !sync || len(st.unsynced) == 0 {
 		return nil
 	}
-	if err := m.deviceIO(st, nil, st.unsyncedBytes, true); err != nil {
+	if err := m.deviceIO(st, nil, true); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -586,8 +558,8 @@ func (m *Manager) pass(st *stream, sync bool) error {
 		return m.err
 	}
 	recs := m.completeLocked(st, st.unsynced)
-	// Let go of the batches before anyone learns they are durable: in
-	// physical mode nothing else references them.
+	// Let go of the batches before anyone learns they are durable:
+	// nothing else references them.
 	clear(st.unsynced)
 	st.unsynced = st.unsynced[:0]
 	m.mu.Unlock()
@@ -602,49 +574,34 @@ func (m *Manager) pass(st *stream, sync bool) error {
 }
 
 // deviceIO is the flusher's device step and the only code that touches
-// a log device: write the given batches, then fsync if sync. Physical
-// mode writes real frames and fsyncs them. In logical mode the write is
-// a copy into the OS page cache — not a device operation — so the
-// transfer of the nbytes accumulated since the last fsync is charged
-// together with it.
-func (m *Manager) deviceIO(st *stream, write []*batch, nbytes int, sync bool) error {
-	if m.phys {
-		if len(write) > 0 {
-			st.frames = st.frames[:0]
-			for _, bt := range write {
-				st.frames = appendFrame(st.frames, bt)
-			}
-			err := st.dev.WriteData(st.frames)
-			if cap(st.frames) > maxScratch {
-				st.frames = nil
-			}
-			if err != nil {
-				return err
-			}
+// a log device: write the given batches as frames, then fsync if sync.
+func (m *Manager) deviceIO(st *stream, write []*batch, sync bool) error {
+	if len(write) > 0 {
+		st.frames = st.frames[:0]
+		for _, bt := range write {
+			st.frames = appendFrame(st.frames, bt)
 		}
-		if sync {
-			return st.dev.Sync()
+		err := st.dev.WriteData(st.frames)
+		if cap(st.frames) > maxScratch {
+			st.frames = nil
 		}
-		return nil
+		if err != nil {
+			return err
+		}
 	}
 	if sync {
-		st.dev.WriteBytes(nbytes)
-		st.dev.Fsync()
+		return st.dev.Sync()
 	}
 	return nil
 }
 
 // completeLocked marks st's fsynced batches durable: settles each
 // transaction's pending counts, advances the stream's and the global
-// durable-LSN watermarks (keeping the batches themselves only in logical
-// mode) and does the group-commit accounting. Returns the record count.
-// Caller holds m.mu.
+// durable-LSN watermarks and does the group-commit accounting. Returns
+// the record count. Caller holds m.mu.
 func (m *Manager) completeLocked(st *stream, done []*batch) int {
 	recs, served := 0, 0
 	for _, bt := range done {
-		if !m.phys {
-			m.durable = append(m.durable, bt)
-		}
 		recs += len(bt.ends)
 		if l := bt.last(); l > m.marks[st.idx] {
 			m.marks[st.idx] = l
@@ -731,48 +688,18 @@ type Entry struct {
 	Payload []byte
 }
 
-// sortedDurableLocked returns the durable batches in LSN order. Parallel
-// streams complete batches out of order, so the durable list is sorted
-// lazily at read time (recovery/inspection), never on the commit path.
-func (m *Manager) sortedDurableLocked() []*batch {
-	out := append([]*batch(nil), m.durable...)
-	sort.Slice(out, func(i, j int) bool { return out[i].first < out[j].first })
-	return out
-}
-
-// streamDevices returns the devices the streams write to.
-func (m *Manager) streamDevices() []disk.Device {
-	devs := make([]disk.Device, len(m.streams))
-	for i, st := range m.streams {
-		devs[i] = st.dev
-	}
-	return devs
-}
-
 // RecoveredEntries returns the durable records with their transaction
 // ids in LSN order — the input to the engine's redo recovery. Only the
-// watermark snapshot (and, in logical mode, the durable batch list) is
-// taken under the manager's mutex. In physical mode the records are then
-// decoded from the devices' acked images, and only LSNs in the snapshot
-// are kept. That is exactly the set the manager completed: an acked image
-// may also hold frames whose fsync raced a crash, or that completed after
-// the snapshot.
+// watermark snapshot is taken under the manager's mutex. The records are
+// then decoded from the devices' acked images, and only LSNs in the
+// snapshot are kept. That is exactly the set the manager completed: an
+// acked image may also hold frames whose fsync raced a crash, or that
+// completed after the snapshot.
 func (m *Manager) RecoveredEntries() []Entry {
 	m.mu.Lock()
 	keep := m.durableRangesLocked()
-	bts := m.sortedDurableLocked()
 	m.mu.Unlock()
-	var all []Entry
-	if m.phys {
-		all = AckedDeviceEntries(m.streamDevices()...)
-	}
-	for _, bt := range bts {
-		start := 0
-		for i, end := range bt.ends {
-			all = append(all, Entry{LSN: bt.first + LSN(i), Txn: bt.txn, Payload: bt.data[start:end:end]})
-			start = end
-		}
-	}
+	all := AckedDeviceEntries(m.cfg.Devices...)
 	out := all[:0]
 	for _, e := range all {
 		if keep.covers(e.LSN, e.LSN) {
@@ -784,29 +711,16 @@ func (m *Manager) RecoveredEntries() []Entry {
 
 // Truncate discards durable records with LSN below `before` — the log
 // reclamation step after a checkpoint. The bound is clamped to
-// contig+1, so a record that is not durable is never discarded. In
-// logical mode whole batches below the bound are dropped; a batch that
-// straddles it is kept and RecoveredEntries hides its records below the
-// bound. In physical mode there is nothing in memory to drop.
+// contig+1, so a record that is not durable is never discarded. The
+// device bytes stay where they are; RecoveredEntries hides the records
+// below the bound.
 func (m *Manager) Truncate(before LSN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return m.err
 	}
-	before = min(before, m.contig+1)
-	if before <= m.truncLow {
-		return nil
-	}
-	m.truncLow = before
-	kept := m.durable[:0]
-	for _, bt := range m.durable {
-		if bt.last() >= before {
-			kept = append(kept, bt)
-		}
-	}
-	clear(m.durable[len(kept):])
-	m.durable = kept
+	m.truncLow = max(m.truncLow, min(before, m.contig+1))
 	return nil
 }
 
@@ -854,11 +768,8 @@ func (m *Manager) StreamWatermarks() []LSN {
 // Invariants checked:
 //
 //   - the truncation bound never passes contig+1;
-//   - logical mode: durable batches are well-formed, non-overlapping in
-//     LSN space, not wholly below the truncation bound, and cover
-//     exactly the LSNs the watermark says are durable;
-//   - physical mode: every LSN the watermark says is durable is present
-//     in the devices' acked images;
+//   - every LSN the watermark says is durable is present in the
+//     devices' acked images;
 //   - parked out-of-order ranges are sorted, disjoint, and strictly
 //     above the watermark with a real gap below them;
 //   - every stream's counters are ordered (synced ≤ written ≤ enq) and
@@ -867,13 +778,13 @@ func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	keep, err := m.checkLocked()
 	m.mu.Unlock()
-	if err != nil || !m.phys {
+	if err != nil {
 		return err
 	}
 	// Acked images only grow, so reading them after the snapshot can
 	// only find more. MergeEntries leaves the LSNs strictly increasing,
 	// so a range is present iff both ends sit the right distance apart.
-	have := AckedDeviceEntries(m.streamDevices()...)
+	have := AckedDeviceEntries(m.cfg.Devices...)
 	for _, r := range keep {
 		i := sort.Search(len(have), func(i int) bool { return have[i].LSN >= r.first })
 		j := i + int(r.last-r.first)
@@ -901,32 +812,6 @@ func (m *Manager) checkLocked() (lsnRanges, error) {
 	if m.truncLow > m.contig+1 {
 		return nil, fmt.Errorf("wal: truncation bound %d above watermark %d", m.truncLow, m.contig)
 	}
-	keep := m.durableRangesLocked()
-	if !m.phys {
-		low := max(m.truncLow, 1)
-		recs := 0
-		var prevLast LSN
-		for i, bt := range m.sortedDurableLocked() {
-			if len(bt.ends) == 0 || bt.first == 0 {
-				return nil, fmt.Errorf("wal: durable batch %d malformed (first=%d nrec=%d)", i, bt.first, len(bt.ends))
-			}
-			if i > 0 && bt.first <= prevLast {
-				return nil, fmt.Errorf("wal: durable batches overlap: batch %d first=%d <= prev last=%d", i, bt.first, prevLast)
-			}
-			prevLast = bt.last()
-			if prevLast < low {
-				return nil, fmt.Errorf("wal: durable batch %d-%d kept below truncation bound %d", bt.first, prevLast, low)
-			}
-			first := max(bt.first, low)
-			if !keep.covers(first, prevLast) {
-				return nil, fmt.Errorf("wal: durable batch %d-%d outside the durable watermark (contig=%d)", first, prevLast, m.contig)
-			}
-			recs += int(prevLast - first + 1)
-		}
-		if want := keep.count(); recs != want {
-			return nil, fmt.Errorf("wal: durable batches hold %d records from LSN %d but the watermark promises %d", recs, low, want)
-		}
-	}
 	var unwritten, undurable uint64
 	for txn, p := range m.pending {
 		if p.undurable <= 0 || p.unwritten < 0 || p.unwritten > p.undurable {
@@ -947,17 +832,17 @@ func (m *Manager) checkLocked() (lsnRanges, error) {
 		return nil, fmt.Errorf("wal: pending counts and stream counters disagree (unwritten off by %d, undurable by %d)",
 			int64(unwritten), int64(undurable))
 	}
-	return keep, nil
+	return m.durableRangesLocked(), nil
 }
 
-// Devices returns the manager's log devices (for the torture harness
-// to reach the fault-capable byte images).
+// Devices returns the manager's log devices, one per stream (for the
+// torture harness and recovery to reach the byte images).
 func (m *Manager) Devices() []disk.Device {
 	return append([]disk.Device(nil), m.cfg.Devices...)
 }
 
 // Crashed reports whether the manager has observed a crash — either an
-// explicit Crash call or a crash outcome from a fault-capable device.
+// explicit Crash call or a crash outcome from a device's fault plan.
 func (m *Manager) Crashed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

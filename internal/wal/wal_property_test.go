@@ -153,13 +153,13 @@ func TestFlushIdempotentAfterCrash(t *testing.T) {
 }
 
 func TestParallelMoreStreamsMoreThroughput(t *testing.T) {
-	run := func(devices int, parallel bool) time.Duration {
+	run := func(devices int) time.Duration {
 		var devs []disk.Device
 		for i := 0; i < devices; i++ {
 			devs = append(devs, disk.New(disk.Config{
 				MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: int64(i + 1)}))
 		}
-		m := New(Config{Devices: devs, Parallel: parallel, Policy: EagerFlush})
+		m := New(Config{Devices: devs, Policy: EagerFlush})
 		defer m.Close()
 		start := time.Now()
 		var wg sync.WaitGroup
@@ -175,8 +175,8 @@ func TestParallelMoreStreamsMoreThroughput(t *testing.T) {
 		wg.Wait()
 		return time.Since(start)
 	}
-	single := run(1, false)
-	dual := run(2, true)
+	single := run(1)
+	dual := run(2)
 	// Group commit makes both fast, but two streams must not be
 	// dramatically slower; typically they are faster.
 	if dual > 2*single+2*time.Millisecond {

@@ -207,7 +207,7 @@ func TestCrashFailsFurtherOperations(t *testing.T) {
 func TestParallelPicksLessLoadedStream(t *testing.T) {
 	d1 := disk.New(disk.Config{MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 1})
 	d2 := disk.New(disk.Config{MedianLatency: time.Millisecond, Sigma: 0, BlockSize: 4096, Seed: 2})
-	m := New(Config{Devices: []disk.Device{d1, d2}, Parallel: true, Policy: EagerFlush})
+	m := New(Config{Devices: []disk.Device{d1, d2}, Policy: EagerFlush})
 	defer m.Close()
 	const n = 12
 	var wg sync.WaitGroup
@@ -227,18 +227,6 @@ func TestParallelPicksLessLoadedStream(t *testing.T) {
 	}
 	if m.DurableCount() != n {
 		t.Errorf("durable = %d, want %d", m.DurableCount(), n)
-	}
-}
-
-func TestSingleStreamIgnoresExtraDevices(t *testing.T) {
-	d1 := fastDevice(1)
-	d2 := fastDevice(2)
-	m := New(Config{Devices: []disk.Device{d1, d2}, Parallel: false, Policy: EagerFlush})
-	defer m.Close()
-	m.Append(1, []byte("x"))
-	m.Commit(1)
-	if d2.Stats().Ops != 0 {
-		t.Error("non-parallel mode used the second device")
 	}
 }
 
@@ -292,8 +280,8 @@ func TestTruncateDropsOnlyDurablePrefix(t *testing.T) {
 	}
 }
 
-// TestTruncateInsideBatch: in logical mode a bound that splits a batch
-// keeps the batch whole in memory, but the records below the bound are
+// TestTruncateInsideBatch: a bound that splits a batch leaves the
+// batch's frame whole on the device, but the records below the bound are
 // gone from everything the log reports.
 func TestTruncateInsideBatch(t *testing.T) {
 	m := eagerMgr()

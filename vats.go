@@ -347,7 +347,6 @@ func (o Options) engineConfig() engine.Config {
 		LRUPolicy:          o.LRU.buffer(),
 		DataDevice:         disk.New(dataCfg),
 		LogDevices:         logDevices,
-		ParallelLog:        o.ParallelLog,
 		FlushPolicy:        o.Flush.wal(),
 		Profiler:           o.Profiler,
 		SampleAgeRemaining: o.SampleAgeRemaining,
