@@ -25,6 +25,7 @@ package admit
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -199,37 +200,17 @@ func (w *window) observe(d time.Duration) {
 	}
 }
 
-// p99 estimates the window's 0.99 queue-wait quantile by linear
-// interpolation inside the selected power-of-two bucket, clamped to
-// the observed maximum.
+// p99 estimates the window's 0.99 queue-wait quantile with the
+// histogram snapshot's interpolation (bucket i's upper bound is 2^i µs),
+// clamped to the observed maximum.
 func (w *window) p99() time.Duration {
-	n := w.n.Load()
-	if n == 0 {
-		return 0
+	s := obs.HistSnapshot{Bounds: make([]float64, winBuckets), Buckets: make([]int64, winBuckets),
+		N: w.n.Load(), Max: float64(w.maxNs.Load())}
+	for i := range s.Buckets {
+		s.Bounds[i] = math.Ldexp(float64(time.Microsecond), i)
+		s.Buckets[i] = w.buckets[i].Load()
 	}
-	rank := 0.99 * float64(n)
-	var cum int64
-	for i := 0; i < winBuckets; i++ {
-		c := w.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) >= rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = int64(1) << (i - 1) * 1000 // µs → ns
-			}
-			hi := int64(1) << i * 1000
-			est := lo + int64(float64(hi-lo)*(rank-float64(prev))/float64(c))
-			if mx := w.maxNs.Load(); mx > 0 && est > mx {
-				est = mx
-			}
-			return time.Duration(est)
-		}
-	}
-	return time.Duration(w.maxNs.Load())
+	return time.Duration(s.Quantile(0.99))
 }
 
 // Controller is a running admission controller.

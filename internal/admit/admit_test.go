@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,6 +250,33 @@ func TestWindowP99(t *testing.T) {
 	var z window
 	if z.p99() != 0 {
 		t.Fatal("empty window p99 should be 0")
+	}
+}
+
+// TestWindowP99Pinned pins the window's p99 estimate on seeded
+// exponential waits (interpolated, clamped to the maximum, single
+// observation, sub-microsecond) to values recorded from the original
+// interpolation code, within 1ns.
+func TestWindowP99Pinned(t *testing.T) {
+	for _, tc := range []struct{ seed, n, scaleUs, wantNs int64 }{
+		{1, 1, 100, 58729},
+		{2, 10, 100, 191670},
+		{3, 100, 1000, 7184000},
+		{4, 1000, 50, 246588},
+		{5, 5000, 2000, 11449060},
+		{6, 99, 10, 59474},
+		{7, 20000, 300, 1768149},
+		{8, 7, 100000, 373675703},
+		{9, 3000, 1, 5735},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		var w window
+		for i := int64(0); i < tc.n; i++ {
+			w.observe(time.Duration(rng.ExpFloat64() * float64(tc.scaleUs) * float64(time.Microsecond)))
+		}
+		if got := int64(w.p99()); got < tc.wantNs-1 || got > tc.wantNs+1 {
+			t.Errorf("seed %d: p99 = %dns, want %dns", tc.seed, got, tc.wantNs)
+		}
 	}
 }
 

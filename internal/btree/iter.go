@@ -16,7 +16,7 @@ package btree
 type RangeIter[V any] struct {
 	hi    uint64
 	stack [64]iterFrame[V]
-	depth int  // frames in use; 0 means exhausted
+	depth int // frames in use; 0 means exhausted
 	leaf  *node[V]
 	pos   int // next index to yield within leaf
 }

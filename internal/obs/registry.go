@@ -162,22 +162,22 @@ func newHistogram(on *enabledFlag, lo float64, nb int) *Histogram {
 // skip timing work (time.Now pairs) feeding a disabled histogram.
 func (h *Histogram) Enabled() bool { return h != nil && h.on.Load() }
 
-// bucketOf returns the smallest i with v <= lo·2^i (clamped).
-func (h *Histogram) bucketOf(v float64) int {
-	if v <= h.lo || math.IsNaN(v) {
+func (h *Histogram) bucketOf(v float64) int { return logBucket(h.lo, h.nb, v) }
+
+// logBucket returns the smallest i with v <= lo·2^i, clamped to the
+// last of nb buckets: the bucket layout of every histogram here.
+func logBucket(lo float64, nb int, v float64) int {
+	if v <= lo || math.IsNaN(v) {
 		return 0
 	}
-	i := math.Ilogb(v / h.lo) // floor(log2(v/lo))
+	i := math.Ilogb(v / lo) // floor(log2(v/lo))
 	if i < 0 {
 		return 0
 	}
-	if math.Ldexp(h.lo, i) < v {
+	if math.Ldexp(lo, i) < v {
 		i++
 	}
-	if i >= h.nb {
-		return h.nb - 1
-	}
-	return i
+	return min(i, nb-1)
 }
 
 // Observe records one value in the histogram's unit.

@@ -17,19 +17,15 @@ import (
 // committed transaction's aggregated factor spans (lock.wait, buf.io,
 // log.flush, ...) feed streaming Welford/covariance accumulators, so
 // the system continuously knows which factors the latency variance
-// decomposes into — the same decomposition tprofiler computes offline
-// over a trace batch, but incremental and bounded-memory.
+// decomposes into — the same decomposition tprofiler computes, over a
+// rolling horizon instead of a whole run.
 //
-// The decomposition follows the paper's eq. 1: with X_f the per-txn
+// The state is a tprofiler.Decomp per shard: eq. 1 with X_f the per-txn
 // time in factor f (0 when absent), Var(Σ X_f) = Σ Var(X_f) +
-// 2 Σ Cov(X_f, X_g). The streaming state is *exact*: a factor that
-// first appears mid-stream is backfilled with zeros in O(1)
-// (stats.Welford.AddZeros), and a sibling-pair accumulator created late
-// is reconstructed from the present marginal (stats.CovWithZeroY —
-// the co-moment of any sequence against a constant is zero), so a
+// 2 Σ Cov(X_f, X_g), kept exactly (late factors are backfilled with
+// zeros, shard merges apply the present/only-one/neither rules), so a
 // snapshot equals the batch computation over the same transactions up
-// to floating-point rounding. The differential tests assert this
-// against tprofiler.Profiler.
+// to floating-point rounding.
 //
 // Accumulators are sharded like the metrics registry (shard index from
 // a stack-address hash, merged on read) and rotate through bounded
@@ -46,11 +42,6 @@ type VarianceEngine struct {
 	// onRotate, when set, receives the closed window's merged stats
 	// after each rotation — the SLO watchdog's feed.
 	onRotate func(closed *VarianceSnapshot)
-
-	// droppedFactors counts factor names discarded because a shard hit
-	// MaxFactors; nonzero means attribution is incomplete, surfaced in
-	// snapshots rather than silently truncated.
-	droppedFactors atomic.Int64
 }
 
 // VarianceConfig sizes the engine. The zero value gets defaults.
@@ -62,9 +53,6 @@ type VarianceConfig struct {
 	// the live one (default 4, i.e. a ~10s horizon at the default
 	// window).
 	Retain int
-	// MaxFactors caps distinct factor names per shard (default 16);
-	// overflow is counted, not attributed.
-	MaxFactors int
 }
 
 func (c VarianceConfig) withDefaults() VarianceConfig {
@@ -74,11 +62,12 @@ func (c VarianceConfig) withDefaults() VarianceConfig {
 	if c.Retain <= 0 {
 		c.Retain = 4
 	}
-	if c.MaxFactors <= 0 {
-		c.MaxFactors = 16
-	}
 	return c
 }
+
+// maxFactors caps distinct factor names per shard and per snapshot;
+// overflow is counted (DroppedFactors), not attributed.
+const maxFactors = 16
 
 // varWindow is one rotation period's accumulators, sharded to keep the
 // commit path off a global mutex.
@@ -95,23 +84,16 @@ const (
 )
 
 type varShard struct {
-	mu      sync.Mutex
-	n       int64
-	total   stats.Welford
-	lat     [latBuckets]int64
-	latMax  float64
-	names   []string // factor creation order (stable for iteration)
-	factors map[string]*stats.Welford
-	covs    map[[2]string]*stats.Cov
+	mu     sync.Mutex
+	d      *tprofiler.Decomp
+	lat    [latBuckets]int64
+	latMax float64
 }
 
 func newVarWindow(start time.Time) *varWindow {
 	w := &varWindow{start: start, shards: make([]*varShard, numShards)}
 	for i := range w.shards {
-		w.shards[i] = &varShard{
-			factors: make(map[string]*stats.Welford, 8),
-			covs:    make(map[[2]string]*stats.Cov, 16),
-		}
+		w.shards[i] = &varShard{d: tprofiler.NewDecomp(maxFactors)}
 	}
 	return w
 }
@@ -134,24 +116,6 @@ func (e *VarianceEngine) SetEnabled(on bool) {
 // Enabled reports whether observations are being collected.
 func (e *VarianceEngine) Enabled() bool { return e != nil && e.on.Load() }
 
-// latBucketOf is Histogram.bucketOf for the fixed window layout.
-func latBucketOf(v float64) int {
-	if v <= latLo || math.IsNaN(v) {
-		return 0
-	}
-	i := math.Ilogb(v / latLo)
-	if i < 0 {
-		return 0
-	}
-	if math.Ldexp(latLo, i) < v {
-		i++
-	}
-	if i >= latBuckets {
-		return latBuckets - 1
-	}
-	return i
-}
-
 // Record folds one committed transaction into the live window: its
 // end-to-end latency (ms) and its per-factor span totals (ms, flat
 // names — the shape TxnTrace.Spans produces). Factors absent from a
@@ -168,47 +132,9 @@ func (e *VarianceEngine) Record(totalMs float64, spans map[string]float64) {
 	}
 	s := w.shards[shardIdx(len(w.shards))]
 	s.mu.Lock()
-	s.n++
-	s.total.Add(totalMs)
-	s.lat[latBucketOf(totalMs)]++
-	if totalMs > s.latMax {
-		s.latMax = totalMs
-	}
-	// Create accumulators for factors this shard has not seen,
-	// backfilled with the shard's zero history so variance math stays
-	// exact (see package comment).
-	for name := range spans {
-		if _, ok := s.factors[name]; ok {
-			continue
-		}
-		if len(s.names) >= e.cfg.MaxFactors {
-			e.droppedFactors.Add(1)
-			continue
-		}
-		nw := &stats.Welford{}
-		nw.AddZeros(s.n - 1)
-		for _, other := range s.names {
-			a, b := name, other
-			if a > b {
-				a, b = b, a
-			}
-			// History so far: (other_i, 0) — reconstruct from the
-			// present marginal; swap when the new name sorts first.
-			c := stats.CovWithZeroY(*s.factors[other])
-			if a == name {
-				c = c.Swapped()
-			}
-			s.covs[[2]string{a, b}] = &c
-		}
-		s.factors[name] = nw
-		s.names = append(s.names, name)
-	}
-	for _, name := range s.names {
-		s.factors[name].Add(spans[name])
-	}
-	for key, c := range s.covs {
-		c.Add(spans[key[0]], spans[key[1]])
-	}
+	s.d.Add(totalMs, spans)
+	s.lat[logBucket(latLo, latBuckets, totalMs)]++
+	s.latMax = max(s.latMax, totalMs)
 	s.mu.Unlock()
 }
 
@@ -282,9 +208,12 @@ type VarianceSnapshot struct {
 	// much of the observed variance the instrumented factors account
 	// for. The remainder is un-instrumented body time.
 	ExplainedShare float64 `json:"explained_share"`
-	// DroppedFactors counts factor names discarded at the MaxFactors
-	// cap since process start; nonzero flags incomplete attribution.
+	// DroppedFactors counts factor names discarded at the cap of 16
+	// over the snapshot horizon; nonzero flags incomplete attribution.
 	DroppedFactors int64 `json:"dropped_factors,omitempty"`
+
+	// d is the merged decomposition TopFactors ranks.
+	d *tprofiler.Decomp
 }
 
 // Snapshot merges the live window and the retained closed windows.
@@ -305,161 +234,70 @@ func (e *VarianceEngine) Snapshot() *VarianceSnapshot {
 	return e.mergeWindows(windows)
 }
 
-// mergeWindows produces exact merged statistics over the given windows
-// (see the package comment for why the merge is exact, not an
-// approximation).
+// mergeWindows merges the windows' shard decompositions (exactly; see
+// tprofiler.Decomp.Merge) and reads the snapshot out of the result.
 func (e *VarianceEngine) mergeWindows(windows []*varWindow) *VarianceSnapshot {
 	snap := &VarianceSnapshot{
-		WindowDur:      e.cfg.Window,
-		Windows:        len(windows),
-		Factors:        []FactorStat{},
-		DroppedFactors: e.droppedFactors.Load(),
+		WindowDur: e.cfg.Window,
+		Windows:   len(windows),
+		Factors:   []FactorStat{},
+		d:         tprofiler.NewDecomp(maxFactors),
 	}
 	if len(windows) > 0 {
 		snap.Start = windows[0].start
 	}
-
-	// Copy every shard's state under its mutex first, so the merge
-	// proper runs lock-free.
-	type src struct {
-		n       int64
-		total   stats.Welford
-		lat     [latBuckets]int64
-		latMax  float64
-		factors map[string]stats.Welford
-		covs    map[[2]string]stats.Cov
-	}
-	var sources []src
+	hs := HistSnapshot{Bounds: make([]float64, latBuckets), Buckets: make([]int64, latBuckets)}
 	for _, w := range windows {
 		for _, s := range w.shards {
 			s.mu.Lock()
-			if s.n == 0 {
-				s.mu.Unlock()
-				continue
+			snap.d.Merge(s.d)
+			for i, c := range s.lat {
+				hs.Buckets[i] += c
 			}
-			c := src{
-				n:       s.n,
-				total:   s.total,
-				lat:     s.lat,
-				latMax:  s.latMax,
-				factors: make(map[string]stats.Welford, len(s.factors)),
-				covs:    make(map[[2]string]stats.Cov, len(s.covs)),
-			}
-			for name, wf := range s.factors {
-				c.factors[name] = *wf
-			}
-			for key, cv := range s.covs {
-				c.covs[key] = *cv
-			}
+			hs.Max = max(hs.Max, s.latMax)
 			s.mu.Unlock()
-			sources = append(sources, c)
 		}
 	}
-	if len(sources) == 0 {
+	total := snap.d.Total()
+	snap.N, snap.MeanMs, snap.Variance = total.N(), total.Mean(), total.Variance()
+	snap.Max, snap.DroppedFactors = hs.Max, snap.d.Dropped()
+	if snap.N == 0 {
 		return snap
 	}
 
-	var total stats.Welford
-	var lat [latBuckets]int64
-	names := map[string]bool{}
-	for _, s := range sources {
-		total.Merge(&s.total)
-		for i, c := range s.lat {
-			lat[i] += c
-		}
-		if s.latMax > snap.Max {
-			snap.Max = s.latMax
-		}
-		for name := range s.factors {
-			names[name] = true
-		}
-	}
-	snap.N = total.N()
-	snap.MeanMs = total.Mean()
-	snap.Variance = total.Variance()
-
 	// Quantiles from the merged log₂ buckets, via the histogram
 	// snapshot machinery so estimates match /metrics exactly.
-	hs := HistSnapshot{Bounds: make([]float64, latBuckets), Buckets: lat[:], N: snap.N, Max: snap.Max}
+	hs.N = snap.N
 	for i := range hs.Bounds {
 		hs.Bounds[i] = math.Ldexp(latLo, i)
 	}
 	snap.P50, snap.P95, snap.P99 = hs.Quantile(0.50), hs.Quantile(0.95), hs.Quantile(0.99)
 
-	ordered := make([]string, 0, len(names))
-	for name := range names {
-		ordered = append(ordered, name)
-	}
-	sort.Strings(ordered)
-
-	// Marginals: merge where present, pad the absent remainder with
-	// zeros (order-independent for Welford state).
 	explained := 0.0
-	merged := make(map[string]*stats.Welford, len(ordered))
-	for _, name := range ordered {
-		m := &stats.Welford{}
-		for _, s := range sources {
-			if wf, ok := s.factors[name]; ok {
-				m.Merge(&wf)
-			} else {
-				m.AddZeros(s.n)
-			}
-		}
-		merged[name] = m
-		v := m.Variance()
+	snap.d.Paths(func(name string, w *stats.Welford) {
+		v := w.Variance()
 		explained += v
-		snap.Factors = append(snap.Factors, FactorStat{
-			Name:     name,
-			MeanMs:   m.Mean(),
-			Variance: v,
-			Share:    safeFrac(v, snap.Variance),
-		})
-	}
-	sort.SliceStable(snap.Factors, func(i, j int) bool {
-		return snap.Factors[i].Variance > snap.Factors[j].Variance
+		snap.Factors = append(snap.Factors, FactorStat{Name: name, MeanMs: w.Mean(), Variance: v, Share: safeFrac(v, snap.Variance)})
 	})
-
-	// Pairs: a source that saw only one member contributes (x_i, 0)
-	// pairs — exactly CovWithZeroY of the present marginal; a source
-	// that saw neither contributes (0, 0) pairs.
-	for i := 0; i < len(ordered); i++ {
-		for j := i + 1; j < len(ordered); j++ {
-			a, b := ordered[i], ordered[j]
-			var m stats.Cov
-			for _, s := range sources {
-				if cv, ok := s.covs[[2]string{a, b}]; ok {
-					m.Merge(&cv)
-					continue
-				}
-				wa, hasA := s.factors[a]
-				wb, hasB := s.factors[b]
-				switch {
-				case hasA:
-					cv := stats.CovWithZeroY(wa)
-					m.Merge(&cv)
-				case hasB:
-					cv := stats.CovWithZeroY(wb).Swapped()
-					m.Merge(&cv)
-				default:
-					m.AddZeros(s.n)
-				}
-			}
-			v := 2 * m.Covariance()
-			explained += v
-			if v == 0 {
-				continue
-			}
-			snap.Covs = append(snap.Covs, CovStat{
-				A: a, B: b,
-				Value: v,
-				Share: safeFrac(v, snap.Variance),
-			})
+	snap.d.Pairs(func(a, b string, cov float64) {
+		v := 2 * cov
+		explained += v
+		if v != 0 {
+			snap.Covs = append(snap.Covs, CovStat{A: a, B: b, Value: v, Share: safeFrac(v, snap.Variance)})
 		}
-	}
-	sort.SliceStable(snap.Covs, func(i, j int) bool {
-		return math.Abs(snap.Covs[i].Value) > math.Abs(snap.Covs[j].Value)
 	})
 	snap.ExplainedShare = safeFrac(explained, snap.Variance)
+	sort.Slice(snap.Factors, func(i, j int) bool {
+		fi, fj := snap.Factors[i], snap.Factors[j]
+		return fi.Variance > fj.Variance || fi.Variance == fj.Variance && fi.Name < fj.Name
+	})
+	sort.Slice(snap.Covs, func(i, j int) bool {
+		ci, cj := snap.Covs[i], snap.Covs[j]
+		if vi, vj := math.Abs(ci.Value), math.Abs(cj.Value); vi != vj {
+			return vi > vj
+		}
+		return ci.A < cj.A || ci.A == cj.A && ci.B < cj.B
+	})
 	return snap
 }
 
@@ -470,15 +308,7 @@ func (s *VarianceSnapshot) TopFactors(k int) []tprofiler.Factor {
 	if s == nil {
 		return nil
 	}
-	nodes := make([]tprofiler.NodeStat, 0, len(s.Factors))
-	for _, f := range s.Factors {
-		nodes = append(nodes, tprofiler.NodeStat{Path: f.Name, Variance: f.Variance})
-	}
-	pairs := make([]tprofiler.PairStat, 0, len(s.Covs))
-	for _, c := range s.Covs {
-		pairs = append(pairs, tprofiler.PairStat{A: c.A, B: c.B, Value: c.Value})
-	}
-	return tprofiler.RankFactors(s.Variance, 1, nodes, pairs, k)
+	return tprofiler.RankFactors(s.d, nil, k)
 }
 
 // Share returns the named factor's variance share, or 0.

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -47,12 +49,12 @@ func genTraces(seed int64, n int) []synthTrace {
 	return out
 }
 
-// TestVarianceOnlineMatchesOfflineProfiler is the differential test the
-// package comment promises: the streaming engine fed one trace at a
-// time must agree with a batch tprofiler.Profiler over the identical
-// stream — total variance, per-factor ranking, and variance shares —
-// to within floating-point tolerance, because the streaming math is
-// exact, not approximate.
+// TestVarianceOnlineMatchesOfflineProfiler feeds the streaming engine
+// one trace at a time and checks it against a two-pass recomputation
+// and against tprofiler.Profiler over the identical stream — total
+// variance, per-factor ranking, and variance shares — to within
+// floating-point tolerance, because the streaming math is exact, not
+// approximate.
 func TestVarianceOnlineMatchesOfflineProfiler(t *testing.T) {
 	traces := genTraces(42, 900)
 	e := NewVarianceEngine(VarianceConfig{Window: time.Hour})
@@ -61,7 +63,7 @@ func TestVarianceOnlineMatchesOfflineProfiler(t *testing.T) {
 		e.Record(tr.totalMs, tr.spans)
 		p.AddTrace(tr.totalMs, tr.spans)
 	}
-	compareOnlineOffline(t, e, p, int64(len(traces)), 1e-9)
+	compareOnlineOffline(t, e, p, traces, 1e-9)
 }
 
 // TestVarianceMergeAcrossGoroutines repeats the differential check with
@@ -89,15 +91,20 @@ func TestVarianceMergeAcrossGoroutines(t *testing.T) {
 	}
 	// Looser tolerance: merge order differs from insertion order, so
 	// rounding differs in the last few bits.
-	compareOnlineOffline(t, e, p, int64(len(traces)), 1e-6)
+	compareOnlineOffline(t, e, p, traces, 1e-6)
 }
 
-func compareOnlineOffline(t *testing.T, e *VarianceEngine, p *tprofiler.Profiler, wantN int64, tol float64) {
+// compareOnlineOffline checks the engine's snapshot against a flat
+// two-pass computation of eq. 1 over the same traces (so the streaming
+// code is not only compared with itself), then checks that its ranking
+// agrees with the offline profiler's.
+func compareOnlineOffline(t *testing.T, e *VarianceEngine, p *tprofiler.Profiler, traces []synthTrace, tol float64) {
 	t.Helper()
 	snap := e.Snapshot()
-	if snap.N != wantN {
-		t.Fatalf("snapshot N = %d, want %d", snap.N, wantN)
+	if snap.N != int64(len(traces)) {
+		t.Fatalf("snapshot N = %d, want %d", snap.N, len(traces))
 	}
+	checkFlatOracle(t, snap, traces, tol)
 	if !within(snap.Variance, p.RootVariance(), tol) {
 		t.Fatalf("total variance: online %.12g offline %.12g", snap.Variance, p.RootVariance())
 	}
@@ -117,6 +124,78 @@ func compareOnlineOffline(t *testing.T, e *VarianceEngine, p *tprofiler.Profiler
 			t.Fatalf("rank %d (%v): value online %.12g offline %.12g, frac online %.12g offline %.12g",
 				i, on[i].Functions, on[i].Value, off[i].Value, on[i].FracOfTotal, off[i].FracOfTotal)
 		}
+	}
+}
+
+// checkFlatOracle recomputes the snapshot's numbers in two passes over
+// the traces: means first, then centred sums, with absent factors
+// counted as 0 and every pair of factor names a sibling pair.
+func checkFlatOracle(t *testing.T, snap *VarianceSnapshot, traces []synthTrace, tol float64) {
+	t.Helper()
+	n := float64(len(traces))
+	get := func(name string) func(synthTrace) float64 {
+		if name == "" {
+			return func(tr synthTrace) float64 { return tr.totalMs }
+		}
+		return func(tr synthTrace) float64 { return tr.spans[name] }
+	}
+	mean := func(x func(synthTrace) float64) float64 {
+		s := 0.0
+		for _, tr := range traces {
+			s += x(tr)
+		}
+		return s / n
+	}
+	cov := func(x, y func(synthTrace) float64) float64 {
+		mx, my := mean(x), mean(y)
+		s := 0.0
+		for _, tr := range traces {
+			s += (x(tr) - mx) * (y(tr) - my)
+		}
+		return s / n
+	}
+	rootVar := cov(get(""), get(""))
+	if !within(snap.MeanMs, mean(get("")), tol) || !within(snap.Variance, rootVar, tol) {
+		t.Fatalf("total: mean %.12g var %.12g, oracle %.12g %.12g", snap.MeanMs, snap.Variance, mean(get("")), rootVar)
+	}
+	set := map[string]bool{}
+	for _, tr := range traces {
+		for name := range tr.spans {
+			set[name] = true
+		}
+	}
+	var names []string
+	for name := range set {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if len(snap.Factors) != len(names) {
+		t.Fatalf("snapshot has %d factors, oracle %d", len(snap.Factors), len(names))
+	}
+	explained := 0.0
+	for _, f := range snap.Factors {
+		v := cov(get(f.Name), get(f.Name))
+		explained += v
+		if !within(f.MeanMs, mean(get(f.Name)), tol) || !within(f.Variance, v, tol) || !within(f.Share, v/rootVar, tol) {
+			t.Fatalf("factor %s: mean %.12g var %.12g share %.12g; oracle %.12g %.12g %.12g",
+				f.Name, f.MeanMs, f.Variance, f.Share, mean(get(f.Name)), v, v/rootVar)
+		}
+	}
+	covs := map[[2]string]float64{}
+	for _, c := range snap.Covs {
+		covs[[2]string{c.A, c.B}] = c.Value
+	}
+	for i, a := range names {
+		for _, b := range names[i+1:] {
+			v := 2 * cov(get(a), get(b))
+			explained += v
+			if !within(covs[[2]string{a, b}], v, tol) {
+				t.Fatalf("2cov(%s, %s) = %.12g, oracle %.12g", a, b, covs[[2]string{a, b}], v)
+			}
+		}
+	}
+	if !within(snap.ExplainedShare, explained/rootVar, tol) {
+		t.Fatalf("explained share %.12g, oracle %.12g", snap.ExplainedShare, explained/rootVar)
 	}
 }
 
@@ -208,17 +287,29 @@ func TestVarianceRotationRace(t *testing.T) {
 }
 
 // TestVarianceMaxFactorsCap checks overflow factors are counted, not
-// silently dropped.
+// silently dropped, and that the cap holds for the merged snapshot,
+// not just per shard (transactions land on different shards).
 func TestVarianceMaxFactorsCap(t *testing.T) {
-	e := NewVarianceEngine(VarianceConfig{Window: time.Hour, MaxFactors: 2})
-	e.Record(1, map[string]float64{"a": 0.1, "b": 0.2})
-	e.Record(1, map[string]float64{"a": 0.1, "c": 0.2, "d": 0.3})
+	e := NewVarianceEngine(VarianceConfig{Window: time.Hour})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spans := map[string]float64{}
+			for i := 0; i <= maxFactors; i++ {
+				spans[fmt.Sprintf("f%02d", i)] = float64(i)
+			}
+			e.Record(1, spans)
+		}()
+	}
+	wg.Wait()
 	snap := e.Snapshot()
 	if snap.DroppedFactors == 0 {
 		t.Fatal("over-cap factors must increment DroppedFactors")
 	}
-	if len(snap.Factors) > 2 {
-		t.Fatalf("snapshot has %d factors, cap was 2", len(snap.Factors))
+	if len(snap.Factors) > maxFactors {
+		t.Fatalf("snapshot has %d factors, cap was %d", len(snap.Factors), maxFactors)
 	}
 }
 

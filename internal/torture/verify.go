@@ -267,12 +267,12 @@ func groupByTxn(es []wal.Entry) map[uint64][]wal.Entry {
 // cancel out of the comparison.
 func specReplay(durable []wal.Entry, j *journal) map[stateKey][]byte {
 	type cand struct {
-		id          uint64
-		hasBegin    bool
-		end         wal.LSN
-		declared    uint64
-		ownRows     uint64
-		refs        []struct {
+		id       uint64
+		hasBegin bool
+		end      wal.LSN
+		declared uint64
+		ownRows  uint64
+		refs     []struct {
 			space  uint32
 			baseID uint64
 			count  uint64

@@ -26,34 +26,32 @@ package tprofiler
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
 	"sync"
 	"time"
-
-	"vats/internal/stats"
 )
 
 // Profiler collects variance trees over many transactions. All methods
 // are safe for concurrent use; a nil *Profiler is a valid no-op sink so
 // instrumented code needs no conditionals.
 type Profiler struct {
-	mu      sync.Mutex
+	mu      sync.Mutex      // guards enabled and pending
 	enabled map[string]bool // nil = instrument everything
 
-	// Online state: collection is deliberately cheap (append a totals
-	// map per transaction); the variance/covariance analysis is offline,
-	// as in the paper's "online trace collection, offline variance
-	// analysis" flow, so instrumentation overhead stays minimal.
-	traces []map[string]float64
-	depths map[string]int
-	txns   stats.Welford // per-transaction total latency (ms)
-	count  int64
+	// Collection is deliberately cheap: End and AddTrace append the
+	// transaction's totals to pending. The variance analysis stays off
+	// the transaction path, as in the paper's "online trace collection,
+	// offline variance analysis" flow: pending traces fold into d when
+	// results are read, or once foldBatch have piled up, and are then
+	// dropped, so memory does not grow with the number of transactions.
+	pending []trace
 
-	// Cached offline analysis, invalidated when traces grow.
-	analyzed int
-	nodes    map[string]*nodeAcc
-	covs     map[[2]string]*stats.Cov
+	// foldMu guards d. It is taken before p.mu is released, so batches
+	// fold in the order they were swapped out and a read sees every
+	// trace collected before it; the fold itself runs without p.mu, so
+	// committers keep appending while it runs.
+	foldMu sync.Mutex
+	d      *Decomp
 
 	// ProbeCost adds busy-wait per probe to emulate heavyweight
 	// instrumentation (the DTrace baseline in fig. 5 left). Zero for
@@ -61,18 +59,17 @@ type Profiler struct {
 	ProbeCost time.Duration
 }
 
-type nodeAcc struct {
-	path   string
-	depth  int
-	height int // max depth of subtree beneath (0 = leaf), updated as seen
-	acc    stats.Welford
+// foldBatch is how many collected traces wait before being folded.
+const foldBatch = 4096
+
+type trace struct {
+	totalMs float64
+	spans   map[string]float64
 }
 
 // New returns an empty profiler instrumenting every span.
 func New() *Profiler {
-	return &Profiler{
-		depths: make(map[string]int),
-	}
+	return &Profiler{d: NewDecomp(0)}
 }
 
 // Instrument restricts collection to the named functions (and the
@@ -99,21 +96,47 @@ func (p *Profiler) InstrumentAll() {
 	p.mu.Unlock()
 }
 
-func (p *Profiler) instrumented(name string) bool {
-	if p.enabled == nil {
-		return true
-	}
-	return p.enabled[name]
-}
-
 // TxnCount returns the number of completed transactions observed.
 func (p *Profiler) TxnCount() int64 {
 	if p == nil {
 		return 0
 	}
+	d := p.analyzed()
+	defer p.foldMu.Unlock()
+	return d.N()
+}
+
+// collect appends one transaction's trace, folding the batch once it
+// is full.
+func (p *Profiler) collect(totalMs float64, spans map[string]float64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
+	p.pending = append(p.pending, trace{totalMs, spans})
+	if len(p.pending) < foldBatch {
+		p.mu.Unlock()
+		return
+	}
+	p.fold()
+	p.foldMu.Unlock()
+}
+
+// analyzed folds every pending trace and returns the decomposition. It
+// returns holding p.foldMu; the caller unlocks it.
+func (p *Profiler) analyzed() *Decomp {
+	p.mu.Lock()
+	p.fold()
+	return p.d
+}
+
+// fold swaps the pending batch out and folds it into d. The caller
+// holds p.mu; fold releases it and returns holding p.foldMu.
+func (p *Profiler) fold() {
+	batch := p.pending
+	p.pending = nil
+	p.foldMu.Lock()
+	p.mu.Unlock()
+	for _, tr := range batch {
+		p.d.Add(tr.totalMs, tr.spans)
+	}
 }
 
 // --- Per-transaction context ----------------------------------------
@@ -122,13 +145,11 @@ func (p *Profiler) TxnCount() int64 {
 // is single-goroutine; VoltDB-style task-concurrent engines create one
 // TxnCtx per transaction id and feed it execution intervals.
 type TxnCtx struct {
-	p       *Profiler
-	start   time.Time
-	stack   []frame
-	totals  map[string]float64 // per-path total ms within this txn
-	depths  map[string]int
-	heights map[string]int
-	snap    map[string]bool // enabled-set snapshot for this txn
+	p      *Profiler
+	start  time.Time
+	stack  []frame
+	totals map[string]float64 // per-path total ms within this txn
+	snap   map[string]bool    // enabled-set snapshot for this txn
 }
 
 type frame struct {
@@ -146,18 +167,13 @@ func (p *Profiler) StartTxn() *TxnCtx {
 		return nil
 	}
 	p.mu.Lock()
-	var snap map[string]bool
-	if p.enabled != nil {
-		snap = p.enabled
-	}
+	snap := p.enabled
 	p.mu.Unlock()
 	return &TxnCtx{
-		p:       p,
-		start:   time.Now(),
-		totals:  make(map[string]float64, 16),
-		depths:  make(map[string]int, 16),
-		heights: make(map[string]int, 16),
-		snap:    snap,
+		p:      p,
+		start:  time.Now(),
+		totals: make(map[string]float64, 16),
+		snap:   snap,
 	}
 }
 
@@ -235,8 +251,6 @@ func (tc *TxnCtx) Record(name string, d time.Duration) {
 
 func (tc *TxnCtx) addSpan(path string, durMs, childMs float64) {
 	tc.totals[path] += durMs
-	depth := strings.Count(path, "/") + 1
-	tc.depths[path] = depth
 	// Propagate child time into the nearest instrumented ancestor's
 	// child accumulator for body-time computation.
 	for i := len(tc.stack) - 1; i >= 0; i-- {
@@ -245,18 +259,14 @@ func (tc *TxnCtx) addSpan(path string, durMs, childMs float64) {
 			break
 		}
 	}
-	// Track subtree heights.
+	// A span with instrumented children gets its own time as a
+	// "[body]" child, so the children sum to the parent (eq. 1).
 	if childMs > 0 {
-		body := durMs - childMs
-		if body < 0 {
-			body = 0
-		}
-		tc.totals[path+"/[body]"] += body
-		tc.depths[path+"/[body]"] = depth + 1
+		tc.totals[path+"/[body]"] += max(durMs-childMs, 0)
 	}
 }
 
-// End closes the transaction and folds its per-node totals into the
+// End closes the transaction and hands its per-node totals to the
 // profiler. Unbalanced spans panic.
 func (tc *TxnCtx) End() {
 	if tc == nil {
@@ -265,19 +275,7 @@ func (tc *TxnCtx) End() {
 	if len(tc.stack) != 0 {
 		panic("tprofiler: End with open spans")
 	}
-	total := float64(time.Since(tc.start)) / float64(time.Millisecond)
-	tc.totals["txn"] = total
-	tc.depths["txn"] = 0
-
-	p := tc.p
-	p.mu.Lock()
-	p.count++
-	p.txns.Add(total)
-	p.traces = append(p.traces, tc.totals)
-	for path, d := range tc.depths {
-		p.depths[path] = d
-	}
-	p.mu.Unlock()
+	tc.p.collect(float64(time.Since(tc.start))/float64(time.Millisecond), tc.totals)
 }
 
 // AddTrace folds one externally collected transaction into the
@@ -291,94 +289,7 @@ func (p *Profiler) AddTrace(totalMs float64, spans map[string]float64) {
 	if p == nil {
 		return
 	}
-	totals := make(map[string]float64, len(spans)+1)
-	depths := make(map[string]int, len(spans)+1)
-	for path, ms := range spans {
-		totals[path] = ms
-		depths[path] = strings.Count(path, "/") + 1
-	}
-	totals["txn"] = totalMs
-	depths["txn"] = 0
-	p.mu.Lock()
-	p.count++
-	p.txns.Add(totalMs)
-	p.traces = append(p.traces, totals)
-	for path, d := range depths {
-		p.depths[path] = d
-	}
-	p.mu.Unlock()
-}
-
-// analyzeLocked runs (or reuses) the offline variance analysis over the
-// collected traces: per-node variance accumulators, sibling
-// covariances, and subtree heights. Caller holds p.mu.
-func (p *Profiler) analyzeLocked() {
-	if p.nodes != nil && p.analyzed == len(p.traces) {
-		return
-	}
-	p.nodes = make(map[string]*nodeAcc, len(p.depths))
-	for path, d := range p.depths {
-		p.nodes[path] = &nodeAcc{path: path, depth: d}
-	}
-	paths := make([]string, 0, len(p.nodes))
-	for path := range p.nodes {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-
-	// Sibling pairs (excluding the root, which is the parent of the
-	// top-level spans, not their sibling).
-	p.covs = make(map[[2]string]*stats.Cov)
-	var pairs [][2]string
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if paths[i] == "txn" || paths[j] == "txn" {
-				continue
-			}
-			if siblings(paths[i], paths[j]) {
-				key := [2]string{paths[i], paths[j]}
-				p.covs[key] = &stats.Cov{}
-				pairs = append(pairs, key)
-			}
-		}
-	}
-	// One pass over the traces; absent nodes count as 0, keeping
-	// Var/Cov mathematically consistent across transactions.
-	for _, tr := range p.traces {
-		for _, path := range paths {
-			p.nodes[path].acc.Add(tr[path])
-		}
-		for _, key := range pairs {
-			p.covs[key].Add(tr[key[0]], tr[key[1]])
-		}
-	}
-	// Subtree heights.
-	for path, n := range p.nodes {
-		h := 0
-		prefix := path + "/"
-		for other := range p.nodes {
-			if strings.HasPrefix(other, prefix) {
-				d := strings.Count(other[len(prefix):], "/") + 1
-				if d > h {
-					h = d
-				}
-			}
-		}
-		n.height = h
-	}
-	p.analyzed = len(p.traces)
-}
-
-func siblings(a, b string) bool {
-	return parentOf(a) == parentOf(b)
-}
-
-func parentOf(path string) string {
-	i := strings.LastIndex(path, "/")
-	if i < 0 {
-		return ""
-	}
-	return path[:i]
+	p.collect(totalMs, maps.Clone(spans))
 }
 
 func spin(d time.Duration) {

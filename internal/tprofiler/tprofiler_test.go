@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vats/internal/stats"
 )
 
 // runTxn executes one synthetic transaction: parent "op" with children
@@ -26,6 +28,22 @@ func runTxn(p *Profiler, i int) {
 	tc.Exit(slow)
 	tc.Exit(op)
 	tc.End()
+}
+
+// node returns path's accumulator in d.
+func node(d *Decomp, path string) (stats.Welford, bool) {
+	i, ok := d.index[path]
+	if !ok {
+		return stats.Welford{}, false
+	}
+	return d.nodes[i], true
+}
+
+// lookup folds p's pending traces and returns path's accumulator.
+func lookup(p *Profiler, path string) (stats.Welford, bool) {
+	d := p.analyzed()
+	defer p.foldMu.Unlock()
+	return node(d, path)
 }
 
 func TestNilProfilerIsNoop(t *testing.T) {
@@ -128,28 +146,27 @@ func TestVarianceDecompositionHolds(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		runTxn(p, i)
 	}
-	p.mu.Lock()
-	p.analyzeLocked()
-	defer p.mu.Unlock()
-	parent := p.nodes["op"]
-	if parent == nil {
+	d := p.analyzed()
+	defer p.foldMu.Unlock()
+	parent, ok := node(d, "op")
+	if !ok {
 		t.Fatal("no op node")
 	}
 	sumVar := 0.0
 	var childPaths []string
-	for path, n := range p.nodes {
+	d.Paths(func(path string, w *stats.Welford) {
 		if parentOf(path) == "op" {
-			sumVar += n.acc.Variance()
+			sumVar += w.Variance()
 			childPaths = append(childPaths, path)
 		}
-	}
+	})
 	sumCov := 0.0
-	for key, c := range p.covs {
-		if parentOf(key[0]) == "op" && parentOf(key[1]) == "op" {
-			sumCov += c.Covariance()
+	d.Pairs(func(a, b string, cov float64) {
+		if parentOf(a) == "op" && parentOf(b) == "op" {
+			sumCov += cov
 		}
-	}
-	lhs := parent.acc.Variance()
+	})
+	lhs := parent.Variance()
 	rhs := sumVar + 2*sumCov
 	if lhs == 0 {
 		t.Fatal("zero parent variance")
@@ -201,11 +218,8 @@ func TestInstrumentMiddleFrameCollapse(t *testing.T) {
 	tc.Exit(tb)
 	tc.Exit(ta)
 	tc.End()
-	p.mu.Lock()
-	p.analyzeLocked()
-	_, topLevel := p.nodes["b"]
-	_, nested := p.nodes["a/b"]
-	p.mu.Unlock()
+	_, topLevel := lookup(p, "b")
+	_, nested := lookup(p, "a/b")
 	if !topLevel || nested {
 		t.Fatalf("collapse failed: top=%v nested=%v", topLevel, nested)
 	}
@@ -218,14 +232,11 @@ func TestRecordAttachesLeaf(t *testing.T) {
 	tc.Record("mutex_wait", 3*time.Millisecond)
 	tc.Exit(op)
 	tc.End()
-	p.mu.Lock()
-	p.analyzeLocked()
-	n := p.nodes["op/mutex_wait"]
-	p.mu.Unlock()
-	if n == nil {
+	n, ok := lookup(p, "op/mutex_wait")
+	if !ok {
 		t.Fatal("recorded leaf missing")
 	}
-	if m := n.acc.Mean(); math.Abs(m-3) > 0.01 {
+	if m := n.Mean(); math.Abs(m-3) > 0.01 {
 		t.Fatalf("recorded mean = %v, want 3ms", m)
 	}
 }
@@ -276,6 +287,47 @@ func TestConcurrentTransactions(t *testing.T) {
 	}
 }
 
+// TestFoldWhileCollecting crosses several fold boundaries from many
+// goroutines while a reader folds concurrently: no trace may be lost or
+// folded twice (run under -race this is the fold-locking test).
+func TestFoldWhileCollecting(t *testing.T) {
+	p := New()
+	const workers, each = 6, foldBatch / 2
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = p.TopFactors(2)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				p.AddTrace(2, map[string]float64{"a": 1, "b": 1})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	if n := p.TxnCount(); n != workers*each {
+		t.Fatalf("TxnCount = %d, want %d", n, workers*each)
+	}
+	if m := p.RootMean(); m != 2 {
+		t.Fatalf("RootMean = %v, want 2", m)
+	}
+}
+
 func TestBodyTimeComputed(t *testing.T) {
 	// Parent with sleeping body and one child: parent body node exists.
 	p := New()
@@ -287,15 +339,12 @@ func TestBodyTimeComputed(t *testing.T) {
 	time.Sleep(500 * time.Microsecond) // body time
 	tc.Exit(op)
 	tc.End()
-	p.mu.Lock()
-	p.analyzeLocked()
-	body := p.nodes["op/[body]"]
-	p.mu.Unlock()
-	if body == nil {
+	body, ok := lookup(p, "op/[body]")
+	if !ok {
 		t.Fatal("no body node")
 	}
-	if body.acc.Mean() < 0.3 {
-		t.Errorf("body mean = %v ms, want ~0.5", body.acc.Mean())
+	if body.Mean() < 0.3 {
+		t.Errorf("body mean = %v ms, want ~0.5", body.Mean())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"vats/internal/stats"
 )
 
 // Node is one call-path node of the variance tree.
@@ -22,38 +24,28 @@ func (p *Profiler) Tree() *Node {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.analyzeLocked()
-	byPath := make(map[string]*Node, len(p.nodes))
-	for path, acc := range p.nodes {
+	d := p.analyzed()
+	defer p.foldMu.Unlock()
+	hs := heights(d)
+	total := d.Total()
+	root := &Node{Path: "txn", Name: "txn", Height: hs["txn"], Mean: total.Mean(), Variance: total.Variance()}
+	byPath := make(map[string]*Node, len(d.paths))
+	d.Paths(func(path string, w *stats.Welford) {
 		byPath[path] = &Node{
 			Path:     path,
 			Name:     lastSegment(path),
-			Depth:    acc.depth,
-			Height:   acc.height,
-			Mean:     acc.acc.Mean(),
-			Variance: acc.acc.Variance(),
+			Depth:    depthOf(path),
+			Height:   hs[path],
+			Mean:     w.Mean(),
+			Variance: w.Variance(),
 		}
-	}
-	root := byPath["txn"]
-	if root == nil {
-		root = &Node{Path: "txn", Name: "txn"}
-	}
+	})
 	for path, n := range byPath {
-		if path == "txn" {
-			continue
+		parent := byPath[parentOf(path)]
+		if parent == nil {
+			parent = root
 		}
-		parent := parentOf(path)
-		if parent == "" {
-			root.Children = append(root.Children, n)
-			continue
-		}
-		if pn := byPath[parent]; pn != nil {
-			pn.Children = append(pn.Children, n)
-		} else {
-			root.Children = append(root.Children, n)
-		}
+		parent.Children = append(parent.Children, n)
 	}
 	var sortChildren func(n *Node)
 	sortChildren = func(n *Node) {
@@ -68,14 +60,28 @@ func (p *Profiler) Tree() *Node {
 	return root
 }
 
+// heights maps every path (and every ancestor of one) to its subtree
+// height, the depth of its deepest descendant below it: a walk up each
+// path's ancestors.
+func heights(d *Decomp) map[string]int {
+	hs := make(map[string]int, len(d.paths))
+	for _, path := range d.paths {
+		depth := depthOf(path)
+		for anc := parentOf(path); anc != ""; anc = parentOf(anc) {
+			hs[anc] = max(hs[anc], depth-depthOf(anc))
+		}
+	}
+	return hs
+}
+
 // RootVariance is the variance of end-to-end transaction latency (ms²).
 func (p *Profiler) RootVariance() float64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.txns.Variance()
+	total := p.analyzed().Total()
+	p.foldMu.Unlock()
+	return total.Variance()
 }
 
 // RootMean is the mean end-to-end transaction latency (ms).
@@ -83,9 +89,9 @@ func (p *Profiler) RootMean() float64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.txns.Mean()
+	total := p.analyzed().Total()
+	p.foldMu.Unlock()
+	return total.Mean()
 }
 
 // FactorKind distinguishes variance factors from covariance factors.
@@ -124,50 +130,15 @@ func (f Factor) String() string {
 // TopFactors ranks factors by score and returns the best k, mirroring
 // the paper's top-k selection. The root is excluded (its variance is the
 // quantity being explained). The scoring itself lives in RankFactors so
-// the live observability layer can rank its streaming accumulators with
-// the identical math.
+// the live observability layer ranks its streaming state with the
+// identical math.
 func (p *Profiler) TopFactors(k int) []Factor {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.analyzeLocked()
-
-	treeHeight := 0
-	for _, n := range p.nodes {
-		if n.depth > treeHeight {
-			treeHeight = n.depth
-		}
-	}
-	nodes := make([]NodeStat, 0, len(p.nodes))
-	for path, n := range p.nodes {
-		if path == "txn" {
-			continue
-		}
-		nodes = append(nodes, NodeStat{Path: path, Height: n.height, Variance: n.acc.Variance()})
-	}
-	pairs := make([]PairStat, 0, len(p.covs))
-	for key, c := range p.covs {
-		na, nb := p.nodes[key[0]], p.nodes[key[1]]
-		if na == nil || nb == nil {
-			continue
-		}
-		h := na.height
-		if nb.height > h {
-			h = nb.height
-		}
-		pairs = append(pairs, PairStat{A: key[0], B: key[1], Height: h, Value: 2 * c.Covariance()})
-	}
-	// Deterministic input order: map iteration must not perturb ties.
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Path < nodes[j].Path })
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-	return RankFactors(p.txns.Variance(), treeHeight, nodes, pairs, k)
+	d := p.analyzed()
+	defer p.foldMu.Unlock()
+	return RankFactors(d, heights(d), k)
 }
 
 // Report renders the variance tree as indented text with per-node
