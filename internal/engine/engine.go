@@ -467,8 +467,7 @@ func (s *Session) BeginAt(birth time.Time) *Txn {
 		s:     s,
 		id:    id,
 		birth: birth,
-		tc:    s.db.cfg.Profiler.StartTxn(),
-		tr:    s.db.obs.Tracer.BeginTxn(uint64(id)),
+		tc:    s.db.obs.Tracer.Begin(s.db.cfg.Profiler, uint64(id)),
 	}
 	tx.redo, s.spareRedo = s.spareRedo[:0], nil
 	tx.redoEnds, s.spareEnds = s.spareEnds[:0], nil

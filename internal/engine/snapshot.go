@@ -21,7 +21,7 @@ import (
 type SnapshotTxn struct {
 	s      *Session
 	readTS uint64
-	tc     *tprofiler.TxnCtx
+	tc     *tprofiler.TxnCtx // the one capture, as on Txn
 	done   bool
 }
 
@@ -32,7 +32,7 @@ func (s *Session) BeginSnapshot() *SnapshotTxn {
 	return &SnapshotTxn{
 		s:      s,
 		readTS: s.db.clock.BeginRead(),
-		tc:     s.db.cfg.Profiler.StartTxn(),
+		tc:     s.db.obs.Tracer.Begin(s.db.cfg.Profiler, 0),
 	}
 }
 
@@ -52,7 +52,10 @@ func (tx *SnapshotTxn) Get(t *storage.Table, key uint64) ([]byte, error) {
 // capacity and the visible version still inline, the read allocates
 // nothing.
 func (tx *SnapshotTxn) GetInto(t *storage.Table, key uint64, buf []byte) ([]byte, error) {
-	return t.SnapshotGetInto(tx.s.h, key, tx.readTS, buf)
+	tok := tx.tc.Enter("exec.select")
+	row, err := t.SnapshotGetInto(tx.s.h, key, tx.readTS, buf)
+	tx.tc.Exit(tok)
+	return row, err
 }
 
 // Scan calls fn for every key in [lo, hi] visible at the snapshot,
@@ -88,12 +91,13 @@ func (tx *SnapshotTxn) IndexIter(t *storage.Table, index string, lo, hi uint64) 
 }
 
 // Close releases the snapshot's read registration, letting GC reclaim
-// versions only it could see. Idempotent.
+// versions only it could see, and ends the snapshot's capture the way a
+// commit does. Idempotent.
 func (tx *SnapshotTxn) Close() {
 	if tx.done {
 		return
 	}
 	tx.done = true
 	tx.s.db.clock.EndRead(tx.readTS)
-	tx.tc.End()
+	tx.s.db.obs.Tracer.End(tx.tc, false)
 }

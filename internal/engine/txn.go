@@ -15,19 +15,27 @@ import (
 // Txn is a strict-2PL transaction. All row operations acquire record
 // locks that are held until Commit or Rollback. Txn is single-goroutine.
 //
-// Profiler span names map to the paper's culprit functions:
+// tc is the transaction's one capture (nil when neither a profiler nor
+// obs's sampler wants it). Its span names map to the paper's culprit
+// functions, and its leaves, through obs's factor table, to the live
+// variance factors:
 //
-//	lock.wait.read / lock.wait.write  ↔ os_event_wait call sites A / B
-//	row.ins_clust_index               ↔ row_ins_clust_index_entry_low
-//	buf.pool_mutex                    ↔ buf_pool_mutex_enter
-//	buf.io                            ↔ data-page fil I/O
-//	log.flush                         ↔ fil_flush / LWLockAcquireOrWait
+//	span                 paper                            factor
+//	lock.wait.read       os_event_wait call site A        lock.wait
+//	lock.wait.write      os_event_wait call site B        lock.wait
+//	row.ins_clust_index  row_ins_clust_index_entry_low    —
+//	buf.pool_mutex       buf_pool_mutex_enter             buf.pool_mutex
+//	buf.io               data-page fil I/O                buf.io
+//	log.flush            fil_flush / LWLockAcquireOrWait  log.flush
+//	part.queue_wait      —                                part.queue_wait
+//	part.xpart_2pc       —                                part.xpart_2pc
+//	net.queue_wait       —                                net.queue_wait
+//	net.shed             —                                net.shed
 type Txn struct {
 	s     *Session
 	id    lock.TxnID
 	birth time.Time
 	tc    *tprofiler.TxnCtx
-	tr    *obs.TxnTrace
 	undo  []undoEntry
 	done  bool
 	wrote bool
@@ -75,7 +83,9 @@ type waitEvent struct {
 // TPC-C transaction type). Figure 8 groups correlations by this tag.
 func (tx *Txn) SetTag(tag string) {
 	tx.tag = tag
-	tx.tr.SetTag(tag)
+	if tx.tc != nil {
+		tx.tc.Tag = tag
+	}
 }
 
 // undoEntry references one statement's before-image inside the
@@ -155,11 +165,6 @@ func (tx *Txn) lockRecord(t *storage.Table, key uint64, mode lock.Mode) error {
 	if tx.s.db.cfg.SampleAgeRemaining && granted.Sub(enq) > 50*time.Microsecond {
 		tx.waitEvents = append(tx.waitEvents, waitEvent{enqueued: enq, granted: granted})
 	}
-	// Trace real waits only; uncontended grants would drown the ring.
-	if wait := granted.Sub(enq); tx.tr != nil && wait > 50*time.Microsecond {
-		tx.tr.AddAt(obs.EvLockWait, enq.Sub(tx.tr.Begin), 0, key)
-		tx.tr.AddAt(obs.EvLockGrant, granted.Sub(tx.tr.Begin), wait, key)
-	}
 	return nil
 }
 
@@ -189,12 +194,6 @@ func (tx *Txn) recordBufWaits() {
 	lru, io := tx.s.h.TakeWaits()
 	tx.tc.Record("buf.pool_mutex", lru)
 	tx.tc.Record("buf.io", io)
-	if io > 0 {
-		tx.tr.Add(obs.EvPageMiss, io, 0)
-	}
-	if lru > 0 {
-		tx.tr.Add(obs.EvLRUWait, lru, 0)
-	}
 }
 
 // Get reads the row under key with a shared lock, returning
@@ -439,11 +438,7 @@ func (tx *Txn) Commit() error {
 			err = aerr
 		} else {
 			ftok := tx.tc.Enter("log.flush")
-			fstart := time.Now()
 			err = tx.s.db.log.Commit(uint64(tx.id))
-			if tx.tr != nil {
-				tx.tr.Add(obs.EvLogFlush, time.Since(fstart), 0)
-			}
 			tx.tc.Exit(ftok)
 		}
 		tx.tc.Exit(tok)
@@ -473,14 +468,12 @@ func (tx *Txn) Commit() error {
 	tx.releaseRedo()
 	tx.s.db.locks.ReleaseAll(tx.id)
 	tx.flushWaitSamples()
-	tx.tc.End()
+	tx.s.db.obs.Tracer.End(tx.tc, err != nil)
 	if err != nil {
 		tx.s.db.met.Abort(time.Since(tx.birth))
-		tx.s.db.obs.Tracer.End(tx.tr, true)
 		return fmt.Errorf("engine: commit: %w", err)
 	}
 	tx.s.db.met.Commit(time.Since(tx.birth))
-	tx.s.db.obs.Tracer.End(tx.tr, false)
 	return nil
 }
 
@@ -518,14 +511,10 @@ func (tx *Txn) Prepare(gtid uint64) error {
 		_, err := tx.s.db.log.AppendBatch(uint64(tx.id), views)
 		if err == nil {
 			ftok := tx.tc.Enter("log.flush")
-			fstart := time.Now()
 			// Prepare is always forced durable, whatever the flush
 			// policy: the commit decision may only be logged once every
 			// participant's prepare survives any crash.
 			err = tx.s.db.log.CommitSync(uint64(tx.id))
-			if tx.tr != nil {
-				tx.tr.Add(obs.EvLogFlush, time.Since(fstart), 0)
-			}
 			tx.tc.Exit(ftok)
 		}
 		tx.tc.Exit(tok)
@@ -557,27 +546,24 @@ func (tx *Txn) CommitPrepared() error {
 }
 
 // RecordQueueWait attributes d of partition-executor queue wait to this
-// transaction's profile and trace, feeding the part.queue_wait factor of
-// the live variance attribution.
+// transaction's capture, feeding the part.queue_wait factor of the live
+// variance attribution.
 func (tx *Txn) RecordQueueWait(d time.Duration) {
 	tx.tc.Record(obs.FactorQueueWait, d)
-	tx.tr.Add(obs.EvQueueWait, d, 0)
 }
 
 // Record2PC attributes d of cross-partition commit coordination (the
 // prepare/decide/commit round) to the part.xpart_2pc factor.
 func (tx *Txn) Record2PC(d time.Duration) {
 	tx.tc.Record(obs.Factor2PC, d)
-	tx.tr.Add(obs.Ev2PC, d, 0)
 }
 
 // RecordNetQueueWait attributes d of network admission-queue wait to
-// this transaction's profile and trace, feeding the net.queue_wait
+// this transaction's capture, feeding the net.queue_wait
 // factor of the live variance attribution — the server's analogue of
 // RecordQueueWait for the front-door ready queue.
 func (tx *Txn) RecordNetQueueWait(d time.Duration) {
 	tx.tc.Record(obs.FactorNetQueueWait, d)
-	tx.tr.Add(obs.EvNetQueueWait, d, 0)
 }
 
 // RecordNetShed attributes d of time this logical unit of work
@@ -585,7 +571,6 @@ func (tx *Txn) RecordNetQueueWait(d time.Duration) {
 // attempts on the same connection) to the net.shed factor.
 func (tx *Txn) RecordNetShed(d time.Duration) {
 	tx.tc.Record(obs.FactorNetShed, d)
-	tx.tr.Add(obs.EvNetShed, d, 0)
 }
 
 // Rollback undoes the transaction's writes and releases its locks. It is
@@ -623,9 +608,8 @@ func (tx *Txn) Rollback() {
 	// recovery presumes abort without a commit marker or decision.
 	tx.s.db.ckptReg.drop(uint64(tx.id))
 	tx.s.db.locks.ReleaseAll(tx.id)
-	tx.tc.End()
+	tx.s.db.obs.Tracer.End(tx.tc, true)
 	tx.s.db.met.Abort(time.Since(tx.birth))
-	tx.s.db.obs.Tracer.End(tx.tr, true)
 }
 
 // encodeRedo serializes a redo record:

@@ -100,40 +100,3 @@ func BenchmarkScanForms(b *testing.B) {
 		_ = sum
 	})
 }
-
-// BenchmarkPlanCache measures the planner's lookup paths: a repeated
-// identical spec (pure cache hit) vs a spec whose shape changes every
-// iteration (guaranteed miss + LRU churn).
-func BenchmarkPlanCache(b *testing.B) {
-	db := engine.Open(fastCfg())
-	b.Cleanup(db.Close)
-	tab, _ := db.CreateTable("t")
-
-	b.Run("Hit", func(b *testing.B) {
-		p := NewPlanner(DefaultPlanCap)
-		spec := Spec{Table: tab, Shape: 1, Pred: func(r Row) bool { return r.Key > 3 }}
-		p.Plan(spec) // warm
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if p.Plan(spec) == nil {
-				b.Fatal("nil plan")
-			}
-		}
-		b.StopTimer()
-		h, m, _ := p.Stats()
-		b.ReportMetric(float64(h)/float64(h+m), "hit-rate")
-	})
-
-	b.Run("Miss", func(b *testing.B) {
-		p := NewPlanner(DefaultPlanCap)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if p.Plan(Spec{Table: tab, Shape: PredShape(i)}) == nil {
-				b.Fatal("nil plan")
-			}
-		}
-		b.StopTimer()
-		h, m, _ := p.Stats()
-		b.ReportMetric(float64(h)/float64(h+m), "hit-rate")
-	})
-}

@@ -202,43 +202,6 @@ func TestScanIgnoresConcurrentCommits(t *testing.T) {
 	}
 }
 
-func TestPlannerCacheKeying(t *testing.T) {
-	db := engine.Open(fastCfg())
-	defer db.Close()
-	tab, _ := db.CreateTable("t")
-	s := db.NewSession()
-	fill(t, s, tab, 10)
-
-	p := NewPlanner(2)
-	spec := Spec{Table: tab, Shape: 7, Pred: func(r Row) bool { return r.Key > 3 }}
-	pl1 := p.Plan(spec)
-	pl2 := p.Plan(spec)
-	if pl1 != pl2 {
-		t.Fatal("same shape: want cached plan pointer")
-	}
-	if h, m, _ := p.Stats(); h != 1 || m != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", h, m)
-	}
-
-	// Different shapes evict LRU at capacity 2.
-	p.Plan(Spec{Table: tab, Shape: 8})
-	p.Plan(Spec{Table: tab, Shape: 9}) // evicts shape 7 (8 was just used... no: 7 is LRU)
-	if pl3 := p.Plan(spec); pl3 == pl1 {
-		t.Fatal("shape 7 should have been evicted and recompiled")
-	}
-
-	// The cached plan still runs.
-	snap := s.BeginSnapshot()
-	defer snap.Close()
-	rows, err := Collect(p.Run(snap, spec, 0, ^uint64(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("got %d rows, want 7 (keys 4..10)", len(rows))
-	}
-}
-
 // TestIterNextZeroAlloc is the executor half of the PR's 0-alloc
 // guardrail: a steady-state Filter->TableScan pipeline must not
 // allocate per row.

@@ -610,7 +610,7 @@ func Figure5Overhead(o Opts) (Experiment, error) {
 		workPerChild := txnWork / time.Duration(n)
 		start := time.Now()
 		for t := 0; t < o.Count; t++ {
-			tc := p.StartTxn()
+			tc := tprofiler.Capture(p, false)
 			root := tc.Enter("root")
 			for i := 0; i < n; i++ {
 				tok := tc.Enter(names[i])

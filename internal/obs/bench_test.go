@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"vats/internal/tprofiler"
 )
 
 // BenchmarkObsOverhead is the overhead guardrail: the disabled hot path
@@ -60,19 +62,17 @@ func BenchmarkObsOverhead(b *testing.B) {
 		})
 	})
 	// The span-capture path the sampling controller budgets: one traced
-	// transaction with a realistic event count, fed through span
-	// aggregation and the variance engine. Its ns/op is the CostNs
-	// calibration input (docs/OBSERVABILITY.md, SamplingConfig.CostNs).
+	// transaction's capture with a realistic span count (a locked read,
+	// a page miss, a log flush), folded through the factor table into
+	// the variance engine and offered to the slow ring. Its ns/op is the
+	// traceCostNs calibration input (docs/OBSERVABILITY.md).
 	b.Run("trace-span-enabled", func(b *testing.B) {
 		o := NewWith(Config{Sampling: SamplingConfig{Budget: -1}})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr := o.Tracer.BeginTxn(uint64(i))
-			tr.Add(EvLockWait, 0, 1)
-			tr.Add(EvLockGrant, time.Millisecond, 1)
-			tr.Add(EvPageMiss, time.Millisecond, 0)
-			tr.Add(EvLogFlush, time.Millisecond, 0)
-			o.Tracer.End(tr, false)
+			tc := o.Tracer.Begin(nil, uint64(i))
+			captureTxn(tc)
+			o.Tracer.End(tc, false)
 		}
 	})
 	b.Run("trace-disabled", func(b *testing.B) {
@@ -80,9 +80,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 		o.SetEnabled(false)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr := o.Tracer.BeginTxn(uint64(i))
-			tr.Add(EvLockWait, 0, 1)
-			o.Tracer.End(tr, false)
+			tc := o.Tracer.Begin(nil, uint64(i))
+			captureTxn(tc)
+			o.Tracer.End(tc, false)
 		}
 	})
 	// The per-begin cost of the sampling decision alone.
@@ -97,8 +97,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	// marginal cost of attribution once a trace is already captured.
 	b.Run("variance-record", func(b *testing.B) {
 		e := NewVarianceEngine(VarianceConfig{Window: time.Hour})
-		spans := map[string]float64{
-			FactorLockWait: 1.5, FactorBufIO: 0.5, FactorLogFlush: 1.0,
+		spans := []tprofiler.Span{
+			{Path: FactorLockWait, Ms: 1.5}, {Path: FactorBufIO, Ms: 0.5}, {Path: FactorLogFlush, Ms: 1.0},
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -107,8 +107,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 	b.Run("variance-record-parallel", func(b *testing.B) {
 		e := NewVarianceEngine(VarianceConfig{Window: time.Hour})
-		spans := map[string]float64{
-			FactorLockWait: 1.5, FactorBufIO: 0.5, FactorLogFlush: 1.0,
+		spans := []tprofiler.Span{
+			{Path: FactorLockWait, Ms: 1.5}, {Path: FactorBufIO, Ms: 0.5}, {Path: FactorLogFlush, Ms: 1.0},
 		}
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
@@ -116,4 +116,21 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		})
 	})
+}
+
+// captureTxn records the span shape of a one-statement read-write
+// transaction into tc.
+func captureTxn(tc *tprofiler.TxnCtx) {
+	sel := tc.Enter("exec.select")
+	lk := tc.Enter("lock.wait.write")
+	tc.Exit(lk)
+	row := tc.Enter("row.read")
+	tc.Record(FactorBufLRU, 0)
+	tc.Record(FactorBufIO, time.Millisecond)
+	tc.Exit(row)
+	tc.Exit(sel)
+	c := tc.Enter("commit")
+	fl := tc.Enter(FactorLogFlush)
+	tc.Exit(fl)
+	tc.Exit(c)
 }

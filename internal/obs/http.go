@@ -20,10 +20,10 @@ import (
 //	                    gauges, and the sampling controller's state
 //	/healthz          — liveness probe; 200 "ok" while serving
 //	/debug/txns       — JSON dump of the slow-transaction ring (slowest
-//	                    first), each trace with its events and
-//	                    aggregated spans; ?factors=k additionally
-//	                    replays the ring into a fresh TProfiler and
-//	                    returns the top-k ranked variance factors
+//	                    first), each capture with its span timeline
+//	                    and factor totals; ?factors=k additionally
+//	                    ranks the ring's factors with TProfiler's
+//	                    scoring and returns the top k
 //	/debug/stats      — JSON map of live stats.Summary per histogram
 //	/debug/variance   — JSON variance-attribution snapshot over the
 //	                    live horizon; ?factors=k appends the top-k
@@ -103,15 +103,14 @@ func writeSamplerProm(w io.Writer, s *Sampler, wd *Watchdog) {
 	fmt.Fprintf(w, "# TYPE slo_anomalies_total counter\nslo_anomalies_total %d\n", wd.Total())
 }
 
-// jsonEvent is the wire form of one trace event.
+// jsonEvent is the wire form of one timeline span.
 type jsonEvent struct {
-	Type  string  `json:"type"`
+	Name  string  `json:"name"`
 	AtMs  float64 `json:"at_ms"`
-	DurMs float64 `json:"dur_ms,omitempty"`
-	Arg   uint64  `json:"arg,omitempty"`
+	DurMs float64 `json:"dur_ms"`
 }
 
-// jsonTrace is the wire form of one retained transaction trace.
+// jsonTrace is the wire form of one retained transaction capture.
 type jsonTrace struct {
 	ID        uint64             `json:"id"`
 	Tag       string             `json:"tag,omitempty"`
@@ -123,18 +122,10 @@ type jsonTrace struct {
 	Spans     map[string]float64 `json:"spans_ms"`
 }
 
-// jsonFactor is one ranked variance factor from replaying the ring.
-type jsonFactor struct {
-	Functions   []string `json:"functions"`
-	Value       float64  `json:"value"`
-	Score       float64  `json:"score"`
-	FracOfTotal float64  `json:"frac_of_total"`
-}
-
 type txnsResponse struct {
-	Count   int          `json:"count"`
-	Traces  []jsonTrace  `json:"traces"`
-	Factors []jsonFactor `json:"factors,omitempty"`
+	Count   int                `json:"count"`
+	Traces  []jsonTrace        `json:"traces"`
+	Factors []tprofiler.Factor `json:"factors,omitempty"`
 }
 
 // defaultTopFactors is how many ranked factors /debug/txns returns
@@ -147,38 +138,34 @@ func txnsPayload(o *Obs, topK int) txnsResponse {
 		return resp
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, tr := range o.Tracer.Slow() {
+	slow := o.Tracer.Slow()
+	for _, tc := range slow {
+		marks := tc.Timeline()
 		jt := jsonTrace{
-			ID:        tr.ID,
-			Tag:       tr.Tag,
-			Begin:     tr.Begin,
-			LatencyMs: ms(tr.Latency),
-			Aborted:   tr.Aborted,
-			Dropped:   tr.Dropped(),
-			Spans:     tr.Spans(),
+			ID:        tc.ID,
+			Tag:       tc.Tag,
+			Begin:     tc.Begin,
+			LatencyMs: ms(tc.Latency),
+			Aborted:   tc.Aborted,
+			Dropped:   tc.SpanCount() - len(marks),
+			Events:    make([]jsonEvent, len(marks)),
+			Spans:     factorMap(tc),
 		}
-		for _, ev := range tr.Events() {
-			jt.Events = append(jt.Events, jsonEvent{
-				Type:  ev.Type.String(),
-				AtMs:  ms(ev.At),
-				DurMs: ms(ev.Dur),
-				Arg:   ev.Arg,
-			})
+		for i, m := range marks {
+			jt.Events[i] = jsonEvent{Name: m.Path, AtMs: ms(m.At), DurMs: ms(m.Dur)}
 		}
 		resp.Traces = append(resp.Traces, jt)
 	}
 	resp.Count = len(resp.Traces)
 	if topK > 0 && resp.Count > 0 {
-		p := tprofiler.New()
-		o.Tracer.ReplayAll(p)
-		for _, f := range p.TopFactors(topK) {
-			resp.Factors = append(resp.Factors, jsonFactor{
-				Functions:   f.Functions,
-				Value:       f.Value,
-				Score:       f.Score,
-				FracOfTotal: f.FracOfTotal,
-			})
+		// Rank the ring's factor totals with the profiler's scoring, as
+		// one decomposition over the retained captures.
+		d := tprofiler.NewDecomp(0)
+		for _, tc := range slow {
+			var buf [numFactors]tprofiler.Span
+			d.Add(ms(tc.Latency), factorSpans(tc, buf[:0]))
 		}
+		resp.Factors = tprofiler.RankFactors(d, nil, topK)
 	}
 	return resp
 }
@@ -188,8 +175,8 @@ func txnsPayload(o *Obs, topK int) txnsResponse {
 // TProfiler-ranked factor list.
 type varianceResponse struct {
 	*VarianceSnapshot
-	Sampler SamplerState `json:"sampler"`
-	Ranked  []jsonFactor `json:"ranked_factors,omitempty"`
+	Sampler SamplerState       `json:"sampler"`
+	Ranked  []tprofiler.Factor `json:"ranked_factors,omitempty"`
 }
 
 func variancePayload(o *Obs, topK int) varianceResponse {
@@ -201,14 +188,7 @@ func variancePayload(o *Obs, topK int) varianceResponse {
 		Sampler:          o.Sampler.State(),
 	}
 	if topK > 0 {
-		for _, f := range resp.VarianceSnapshot.TopFactors(topK) {
-			resp.Ranked = append(resp.Ranked, jsonFactor{
-				Functions:   f.Functions,
-				Value:       f.Value,
-				Score:       f.Score,
-				FracOfTotal: f.FracOfTotal,
-			})
-		}
+		resp.Ranked = resp.VarianceSnapshot.TopFactors(topK)
 	}
 	return resp
 }

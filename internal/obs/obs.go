@@ -1,7 +1,7 @@
 // Package obs is the engine's live observability layer: a sharded
 // metrics registry (counters, gauges, log-bucket latency histograms),
-// a per-transaction span tracer with a bounded slow-transaction ring,
-// and an HTTP exposition endpoint (Prometheus text /metrics plus JSON
+// a tracer that samples transactions into their span capture and keeps
+// a bounded slow-transaction ring, and an HTTP exposition endpoint (Prometheus text /metrics plus JSON
 // /debug routes).
 //
 // The paper's methodology is "measure variance first, then fix it"
@@ -15,9 +15,9 @@
 //  2. Counters and histogram buckets are sharded to avoid cache-line
 //     ping-pong between cores; histogram mean/variance is Welford-backed
 //     per shard and merged on read (stats.Welford.Merge).
-//  3. Retained slow-transaction traces replay into tprofiler.Profiler
-//     as call-tree spans, so a live outlier feeds the same offline
-//     variance analysis the paper's tables use.
+//  3. A transaction is captured once, in tprofiler's call tree; the
+//     live variance engine folds that capture's factor leaves, so live
+//     and offline attribution read the same spans.
 //
 // Everything hangs off an Obs bundle. The package-level Default bundle
 // is disabled until something (the -obs CLI flag, a test) enables it;
@@ -36,7 +36,7 @@ type Obs struct {
 	Registry *Registry
 	Tracer   *Tracer
 	// Variance is the always-on variance-attribution engine fed by
-	// every committed, sampled transaction's span aggregation.
+	// every committed, sampled transaction's factor totals.
 	Variance *VarianceEngine
 	// Watchdog evaluates each closed variance window against SLO
 	// targets and retains ranked anomalies.
@@ -49,12 +49,6 @@ type Obs struct {
 // Config sizes an Obs bundle; the zero value gets the defaults New
 // uses.
 type Config struct {
-	// SlowCap is the worst-K slow-transaction ring size (default
-	// DefaultSlowCap).
-	SlowCap int
-	// MaxTraceBytes byte-bounds the slow ring (default
-	// DefaultMaxTraceBytes); see Tracer.
-	MaxTraceBytes int64
 	// Variance configures the attribution engine's windows.
 	Variance VarianceConfig
 	// SLO sets the watchdog targets.
@@ -72,7 +66,7 @@ func New() *Obs { return NewWith(Config{}) }
 func NewWith(cfg Config) *Obs {
 	o := &Obs{
 		Registry: NewRegistry(),
-		Tracer:   NewTracerSized(cfg.SlowCap, cfg.MaxTraceBytes),
+		Tracer:   NewTracerSized(0, 0),
 		Variance: NewVarianceEngine(cfg.Variance),
 		Watchdog: NewWatchdog(cfg.SLO, 0),
 		Sampler:  NewSampler(cfg.Sampling),

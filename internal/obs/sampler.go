@@ -9,9 +9,9 @@ import (
 // Sampler is the adaptive sampling controller that keeps span-capture
 // overhead inside a stated budget. Counters and histograms always
 // count — they are a few nanoseconds each — but per-transaction span
-// capture (trace allocation, event appends, span aggregation, variance
-// recording) costs on the order of a microsecond per transaction, so
-// at a high enough transaction rate it must duty-cycle.
+// capture (the capture's allocation, its spans, the factor fold and
+// variance recording) costs a few microseconds per transaction, so at
+// a high enough transaction rate it must duty-cycle.
 //
 // The budget model: with λ the observed transaction begin rate (txn/s)
 // and c the estimated per-traced-transaction instrumentation cost
@@ -24,17 +24,13 @@ import (
 // interval. m snaps back to 1 the moment load drops, so light traffic
 // is always fully traced. The decision itself (Admit) is two atomic
 // ops on the begin path; the cost estimate c is refreshed by an EWMA
-// over observed per-trace event counts.
+// over observed per-capture span counts.
 type Sampler struct {
 	// budgetMicro is the budget in millionths of one core (atomic
 	// float-free storage); 10_000 = 1%.
 	budgetMicro atomic.Int64
-	// costNs estimates the fixed cost of one traced transaction;
-	// eventCostNs the marginal cost per recorded event.
-	costNs      atomic.Int64
-	eventCostNs atomic.Int64
-	// evEWMA holds the average events-per-trace estimate ×1000.
-	evEWMA atomic.Int64
+	// spanEWMA holds the average spans-per-capture estimate ×1000.
+	spanEWMA atomic.Int64
 
 	// mod is the current sampling modulus (≥ 1).
 	mod atomic.Int64
@@ -42,55 +38,37 @@ type Sampler struct {
 	n atomic.Uint64
 
 	// Control interval bookkeeping.
-	interval      time.Duration
 	intervalStart atomic.Int64 // unix nanos
 	intervalN     atomic.Int64 // begins this interval
 	lastRate      atomic.Int64 // txn/s ×1 from the last closed interval
 }
 
-// SamplingConfig configures the controller; the zero value gets
-// defaults (1% of one core, 250ms control interval).
+// SamplingConfig configures the controller; the zero value gets the
+// default budget (1% of one core).
 type SamplingConfig struct {
 	// Budget is the span-capture overhead budget as a fraction of one
 	// core (default 0.01 = 1%). Negative disables duty-cycling: every
 	// transaction is traced regardless of rate.
 	Budget float64
-	// CostNs seeds the per-traced-txn cost estimate (default 1200ns;
-	// see BenchmarkObsOverhead's trace cases and docs/OBSERVABILITY.md
-	// for the calibration).
-	CostNs int64
-	// EventCostNs is the marginal cost per trace event (default 60ns).
-	EventCostNs int64
-	// Interval is the control period (default 250ms).
-	Interval time.Duration
 }
 
-// Default calibration constants; see docs/OBSERVABILITY.md ("The
-// overhead budget model") for where they come from.
+// Calibration constants; see docs/OBSERVABILITY.md ("The overhead
+// budget model") for where the costs come from. traceCostNs is the
+// fixed cost of one traced capture, spanCostNs the marginal cost of
+// each span in it, sampleControl the control period.
 const (
-	defaultSampleBudget  = 0.01
-	defaultTraceCostNs   = 1200
-	defaultEventCostNs   = 60
-	defaultSampleControl = 250 * time.Millisecond
+	defaultSampleBudget = 0.01
+	traceCostNs         = 2000
+	spanCostNs          = 150
+	sampleControl       = 250 * time.Millisecond
 )
 
 // NewSampler returns a controller with the given budget.
 func NewSampler(cfg SamplingConfig) *Sampler {
-	s := &Sampler{interval: cfg.Interval}
-	if s.interval <= 0 {
-		s.interval = defaultSampleControl
-	}
-	if cfg.CostNs <= 0 {
-		cfg.CostNs = defaultTraceCostNs
-	}
-	if cfg.EventCostNs <= 0 {
-		cfg.EventCostNs = defaultEventCostNs
-	}
+	s := &Sampler{}
 	if cfg.Budget == 0 {
 		cfg.Budget = defaultSampleBudget
 	}
-	s.costNs.Store(cfg.CostNs)
-	s.eventCostNs.Store(cfg.EventCostNs)
 	s.SetBudget(cfg.Budget)
 	s.mod.Store(1)
 	s.intervalStart.Store(time.Now().UnixNano())
@@ -111,18 +89,6 @@ func (s *Sampler) SetBudget(frac float64) {
 	s.budgetMicro.Store(int64(frac * 1e6))
 }
 
-// Budget returns the active budget fraction (negative = unlimited).
-func (s *Sampler) Budget() float64 {
-	if s == nil {
-		return -1
-	}
-	b := s.budgetMicro.Load()
-	if b < 0 {
-		return -1
-	}
-	return float64(b) / 1e6
-}
-
 // Admit decides whether the next transaction's spans are captured. It
 // is called on every transaction begin (a nil sampler admits all).
 func (s *Sampler) Admit() bool {
@@ -133,7 +99,7 @@ func (s *Sampler) Admit() bool {
 	s.intervalN.Add(1)
 	start := s.intervalStart.Load()
 	now := time.Now().UnixNano()
-	if now-start >= int64(s.interval) && s.intervalStart.CompareAndSwap(start, now) {
+	if now-start >= int64(sampleControl) && s.intervalStart.CompareAndSwap(start, now) {
 		// One winner per interval recomputes the modulus from the
 		// closed interval's rate; everyone else proceeds.
 		cnt := s.intervalN.Swap(0)
@@ -160,7 +126,7 @@ func (s *Sampler) retarget(rate float64) {
 		return
 	}
 	budgetNsPerSec := float64(b) * 1e9 / 1e6
-	spend := rate * float64(s.CostPerTraceNs())
+	spend := rate * float64(s.costPerTrace())
 	if budgetNsPerSec <= 0 {
 		// Zero budget: trace as little as the modulus can express.
 		s.mod.Store(math.MaxInt32)
@@ -176,58 +142,28 @@ func (s *Sampler) retarget(rate float64) {
 	s.mod.Store(m)
 }
 
-// NoteTraceEvents feeds the controller one completed trace's event
+// NoteTraceEvents feeds the controller one completed capture's span
 // count, refreshing the per-trace cost EWMA.
-func (s *Sampler) NoteTraceEvents(events int) {
+func (s *Sampler) NoteTraceEvents(spans int) {
 	if s == nil {
 		return
 	}
 	const alpha = 8 // EWMA weight denominator
-	old := s.evEWMA.Load()
-	sample := int64(events) * 1000
-	s.evEWMA.Store(old + (sample-old)/alpha)
+	old := s.spanEWMA.Load()
+	sample := int64(spans) * 1000
+	s.spanEWMA.Store(old + (sample-old)/alpha)
 }
 
-// CostPerTraceNs returns the current per-traced-transaction cost
-// estimate: base cost plus the event EWMA times the per-event cost.
-func (s *Sampler) CostPerTraceNs() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.costNs.Load() + s.evEWMA.Load()*s.eventCostNs.Load()/1000
+// costPerTrace is the current per-traced-transaction cost estimate
+// (ns): the fixed cost plus the span EWMA times the per-span cost.
+func (s *Sampler) costPerTrace() int64 {
+	return traceCostNs + s.spanEWMA.Load()*spanCostNs/1000
 }
 
-// Modulus returns the current sampling modulus (1 = tracing all).
-func (s *Sampler) Modulus() int64 {
-	if s == nil {
-		return 1
-	}
-	return s.mod.Load()
-}
-
-// Rate returns the transaction rate (txn/s) observed in the last
-// closed control interval.
-func (s *Sampler) Rate() float64 {
-	if s == nil {
-		return 0
-	}
-	return float64(s.lastRate.Load())
-}
-
-// EstimatedOverhead returns the estimated span-capture overhead as a
-// fraction of one core at the last observed rate and current modulus.
-func (s *Sampler) EstimatedOverhead() float64 {
-	if s == nil {
-		return 0
-	}
-	m := s.Modulus()
-	if m < 1 {
-		m = 1
-	}
-	return s.Rate() / float64(m) * float64(s.CostPerTraceNs()) / 1e9
-}
-
-// State is a point-in-time controller summary for the JSON endpoints.
+// SamplerState is a point-in-time controller summary for the JSON
+// endpoints: the budget (negative = unlimited), the modulus, the rate
+// observed in the last closed control interval, the cost estimate and
+// the overhead they imply as a fraction of one core.
 type SamplerState struct {
 	BudgetFrac    float64 `json:"budget_frac"`
 	Modulus       int64   `json:"modulus"`
@@ -241,11 +177,15 @@ func (s *Sampler) State() SamplerState {
 	if s == nil {
 		return SamplerState{BudgetFrac: -1, Modulus: 1}
 	}
-	return SamplerState{
-		BudgetFrac:    s.Budget(),
-		Modulus:       s.Modulus(),
-		RateTxnS:      s.Rate(),
-		CostPerTrace:  s.CostPerTraceNs(),
-		EstimatedFrac: s.EstimatedOverhead(),
+	st := SamplerState{
+		BudgetFrac:   -1,
+		Modulus:      max(s.mod.Load(), 1),
+		RateTxnS:     float64(s.lastRate.Load()),
+		CostPerTrace: s.costPerTrace(),
 	}
+	if b := s.budgetMicro.Load(); b >= 0 {
+		st.BudgetFrac = float64(b) / 1e6
+	}
+	st.EstimatedFrac = st.RateTxnS / float64(st.Modulus) * float64(st.CostPerTrace) / 1e9
+	return st
 }

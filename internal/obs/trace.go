@@ -1,77 +1,20 @@
 package obs
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"vats/internal/tprofiler"
 )
 
-// EventType is one kind of transaction trace event.
-type EventType uint8
-
-// Trace event types; the set mirrors the engine's profiler leaves so a
-// replayed trace lands on the same span names TProfiler scores.
-const (
-	EvBegin EventType = iota
-	EvLockWait
-	EvLockGrant
-	EvPageMiss
-	EvLogFlush
-	EvCommit
-	EvAbort
-	EvLRUWait
-	// EvQueueWait is time spent queued for a partition executor before
-	// the transaction's first attempt began running.
-	EvQueueWait
-	// Ev2PC is time spent inside the cross-partition prepare/decide/
-	// commit round of two-phase commit.
-	Ev2PC
-	// EvNetQueueWait is time a network request spent in the admission
-	// controller's ready queue before an execution slot was granted.
-	EvNetQueueWait
-	// EvNetShed is time this logical unit of work previously lost to
-	// admission-control shedding on the same connection (queue wait of
-	// shed attempts, attributed to the next admitted transaction).
-	EvNetShed
-)
-
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EvBegin:
-		return "begin"
-	case EvLockWait:
-		return "lock.wait"
-	case EvLockGrant:
-		return "lock.grant"
-	case EvPageMiss:
-		return "page.miss"
-	case EvLogFlush:
-		return "log.flush"
-	case EvCommit:
-		return "commit"
-	case EvAbort:
-		return "abort"
-	case EvLRUWait:
-		return "lru.wait"
-	case EvQueueWait:
-		return "queue.wait"
-	case Ev2PC:
-		return "xpart.2pc"
-	case EvNetQueueWait:
-		return "net.queue_wait"
-	case EvNetShed:
-		return "net.shed"
-	default:
-		return "unknown"
-	}
-}
-
-// Canonical factor names: the leaves span aggregation produces and the
-// variance engine attributes. They match the offline profiler's leaf
-// names (Txn's span table) so live and offline decompositions line up.
+// Canonical factor names: the flat variance factors the live engine
+// attributes. The offline profiler sees the same times as leaves of the
+// transaction's call tree (Txn's span table); factorOf maps one to the
+// other.
 const (
 	FactorLockWait  = "lock.wait"
 	FactorBufIO     = "buf.io"
@@ -88,154 +31,74 @@ const (
 	FactorNetShed = "net.shed"
 )
 
-// Event is one timestamped occurrence inside a transaction.
-type Event struct {
-	Type EventType
-	// At is the offset since transaction begin.
-	At time.Duration
-	// Dur carries a measured cost for events that have one (page-miss
-	// I/O time, log-flush time, lock wait on the grant event).
-	Dur time.Duration
-	// Arg is event-specific (lock key id, flushed bytes, ...).
-	Arg uint64
+// factorOf is the one factor table: it maps a capture's leaf span name
+// to the variance factor that leaf's time feeds. Leaves not named here
+// (statement bodies, row operations, WAL appends) are no factor. The
+// variance engine and /debug/txns's spans_ms both fold through it.
+var factorOf = map[string]string{
+	"lock.wait.read":   FactorLockWait,
+	"lock.wait.write":  FactorLockWait,
+	FactorBufIO:        FactorBufIO,
+	FactorBufLRU:       FactorBufLRU,
+	FactorLogFlush:     FactorLogFlush,
+	FactorQueueWait:    FactorQueueWait,
+	Factor2PC:          Factor2PC,
+	FactorNetQueueWait: FactorNetQueueWait,
+	FactorNetShed:      FactorNetShed,
 }
 
-// traceRingCap bounds the per-transaction event ring; the oldest
-// events are overwritten when a transaction produces more.
-const traceRingCap = 64
+// numFactors is the number of distinct factors factorOf names.
+const numFactors = 8
+
+// factorSpans appends tc's nonzero factor totals to out, one entry per
+// factor (a factor absent from the result counts as 0).
+func factorSpans(tc *tprofiler.TxnCtx, out []tprofiler.Span) []tprofiler.Span {
+	for _, s := range tc.Spans() {
+		if s.Ms <= 0 {
+			continue
+		}
+		f, ok := factorOf[s.Path[strings.LastIndexByte(s.Path, '/')+1:]]
+		if !ok {
+			continue
+		}
+		i := 0
+		for i < len(out) && out[i].Path != f {
+			i++
+		}
+		if i == len(out) {
+			out = append(out, tprofiler.Span{Path: f})
+		}
+		out[i].Ms += s.Ms
+	}
+	return out
+}
+
+// factorMap is factorSpans as a map, for the sink and JSON.
+func factorMap(tc *tprofiler.TxnCtx) map[string]float64 {
+	var buf [numFactors]tprofiler.Span
+	spans := factorSpans(tc, buf[:0])
+	m := make(map[string]float64, len(spans))
+	for _, s := range spans {
+		m[s.Path] = s.Ms
+	}
+	return m
+}
 
 // DefaultSlowCap is the default size of the slow-transaction ring.
 const DefaultSlowCap = 32
 
-// TxnTrace is a ring-buffered event log for one transaction. It is
-// single-goroutine while the transaction runs (like the transaction
-// itself) and immutable once handed to the tracer by End.
-type TxnTrace struct {
-	ID    uint64
-	Tag   string
-	Begin time.Time
-	// Latency and Aborted are set by Tracer.End.
-	Latency time.Duration
-	Aborted bool
-
-	events [traceRingCap]Event
-	n      int // total appended (may exceed traceRingCap)
-}
-
-// Add appends an event; nil traces (tracing disabled) no-op.
-func (tr *TxnTrace) Add(t EventType, dur time.Duration, arg uint64) {
-	if tr == nil {
-		return
-	}
-	tr.AddAt(t, time.Since(tr.Begin), dur, arg)
-}
-
-// SetTag labels the trace (e.g. the TPC-C transaction type).
-func (tr *TxnTrace) SetTag(tag string) {
-	if tr == nil {
-		return
-	}
-	tr.Tag = tag
-}
-
-// AddAt appends an event with an explicit begin-relative offset, for
-// callers that measured the moment themselves (e.g. a lock enqueue
-// recorded after the wait resolved).
-func (tr *TxnTrace) AddAt(t EventType, at, dur time.Duration, arg uint64) {
-	if tr == nil {
-		return
-	}
-	tr.events[tr.n%traceRingCap] = Event{Type: t, At: at, Dur: dur, Arg: arg}
-	tr.n++
-}
-
-// Dropped returns how many events were overwritten by ring wrap.
-func (tr *TxnTrace) Dropped() int {
-	if tr == nil || tr.n <= traceRingCap {
-		return 0
-	}
-	return tr.n - traceRingCap
-}
-
-// Events returns the retained events in append order.
-func (tr *TxnTrace) Events() []Event {
-	if tr == nil {
-		return nil
-	}
-	if tr.n <= traceRingCap {
-		out := make([]Event, tr.n)
-		copy(out, tr.events[:tr.n])
-		return out
-	}
-	out := make([]Event, traceRingCap)
-	start := tr.n % traceRingCap
-	copy(out, tr.events[start:])
-	copy(out[traceRingCap-start:], tr.events[:start])
-	return out
-}
-
-// Spans aggregates the trace into named span durations (ms), the shape
-// TProfiler consumes: lock.wait from wait→grant event pairs (falling
-// back to the grant's Dur when the wait event was overwritten), buf.io
-// from page-miss costs, log.flush from flush costs.
-func (tr *TxnTrace) Spans() map[string]float64 {
-	if tr == nil {
-		return nil
-	}
-	spans := make(map[string]float64, 4)
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	var pendingWait []time.Duration
-	for _, ev := range tr.Events() {
-		switch ev.Type {
-		case EvLockWait:
-			pendingWait = append(pendingWait, ev.At)
-		case EvLockGrant:
-			if n := len(pendingWait); n > 0 {
-				spans[FactorLockWait] += ms(ev.At - pendingWait[n-1])
-				pendingWait = pendingWait[:n-1]
-			} else {
-				spans[FactorLockWait] += ms(ev.Dur)
-			}
-		case EvPageMiss:
-			spans[FactorBufIO] += ms(ev.Dur)
-		case EvLogFlush:
-			spans[FactorLogFlush] += ms(ev.Dur)
-		case EvLRUWait:
-			spans[FactorBufLRU] += ms(ev.Dur)
-		case EvQueueWait:
-			spans[FactorQueueWait] += ms(ev.Dur)
-		case Ev2PC:
-			spans[Factor2PC] += ms(ev.Dur)
-		case EvNetQueueWait:
-			spans[FactorNetQueueWait] += ms(ev.Dur)
-		case EvNetShed:
-			spans[FactorNetShed] += ms(ev.Dur)
-		}
-	}
-	return spans
-}
-
-// ReplayInto feeds the trace to a TProfiler instance as one completed
-// transaction with the aggregated spans, so a retained live outlier
-// participates in the same variance analysis as harness-profiled runs.
-func (tr *TxnTrace) ReplayInto(p *tprofiler.Profiler) {
-	if tr == nil || p == nil {
-		return
-	}
-	p.AddTrace(float64(tr.Latency)/float64(time.Millisecond), tr.Spans())
-}
-
-// Tracer hands out per-transaction traces and retains the worst
-// (highest-latency) completed ones in a ring bounded both by count and
-// by resident bytes, so the p99+ tail is always inspectable live
-// without unbounded memory — a pathological span-heavy or huge-tag
+// Tracer opens the per-transaction capture when it samples a
+// transaction, feeds each sampled, committed capture to the variance
+// engine, and retains the worst (highest-latency) completed captures in
+// a ring bounded both by count and by resident bytes, so the p99+ tail
+// is always inspectable live without unbounded memory — a huge-tag
 // transaction cannot balloon the ring past its byte budget.
 type Tracer struct {
 	enabled atomic.Bool
 
 	// variance, when set (by NewWith), receives every committed
-	// trace's span aggregation; sampler, when set, gates span capture
-	// in BeginTxn. sink is a test hook mirroring what variance sees.
+	// capture's factor totals; sampler, when set, gates capture in
+	// Begin. sink is a test hook mirroring what variance sees.
 	variance *VarianceEngine
 	sampler  *Sampler
 	sink     func(totalMs float64, spans map[string]float64)
@@ -244,22 +107,24 @@ type Tracer struct {
 	cap      int
 	maxBytes int64
 	bytes    int64
-	slow     []*TxnTrace // unordered; minIdx tracks the cheapest slot
-	minIdx   int
+	slow     []*tprofiler.TxnCtx // slowest first
 }
 
 // DefaultMaxTraceBytes is the default slow-ring byte budget. The
-// default ring (32 traces × ~2.3 KiB fixed footprint) sits well under
-// it; the budget guards against large caps or large tags.
+// default ring (32 captures of ~3 KiB) sits well under it; the budget
+// guards against large caps or large tags.
 const DefaultMaxTraceBytes = 256 << 10
 
-// NewTracer returns an enabled tracer retaining the slowCap worst
-// transactions (DefaultSlowCap if slowCap <= 0) under the default
-// byte budget.
-func NewTracer(slowCap int) *Tracer { return NewTracerSized(slowCap, 0) }
+// captureBytes is a capture's fixed footprint: its inline stack, span
+// table and timeline.
+const captureBytes = int64(unsafe.Sizeof(tprofiler.TxnCtx{}))
+
+// footprint estimates a retained capture's resident bytes: the fixed
+// struct plus the tag string.
+func footprint(tc *tprofiler.TxnCtx) int64 { return captureBytes + int64(len(tc.Tag)) }
 
 // NewTracerSized returns an enabled tracer bounded by both slowCap
-// traces (DefaultSlowCap if <= 0) and maxBytes resident trace bytes
+// captures (DefaultSlowCap if <= 0) and maxBytes resident capture bytes
 // (DefaultMaxTraceBytes if <= 0).
 func NewTracerSized(slowCap int, maxBytes int64) *Tracer {
 	if slowCap <= 0 {
@@ -274,25 +139,15 @@ func NewTracerSized(slowCap int, maxBytes int64) *Tracer {
 }
 
 // SetSink installs a mirror receiving every committed, sampled
-// transaction's (latency, spans) exactly as the variance engine does —
-// the differential tests use it to drive an offline profiler from the
-// identical stream.
+// transaction's (latency, factor spans) exactly as the variance engine
+// does — the differential tests use it to drive an offline profiler
+// from the identical stream.
 func (t *Tracer) SetSink(fn func(totalMs float64, spans map[string]float64)) {
 	if t == nil {
 		return
 	}
 	t.sink = fn
 }
-
-// footprint estimates a trace's resident bytes: the fixed struct (the
-// embedded event ring dominates) plus the tag string.
-func (tr *TxnTrace) footprint() int64 {
-	return traceFixedBytes + int64(len(tr.Tag))
-}
-
-// traceFixedBytes is sizeof(TxnTrace) rounded up: 64 events × 24 bytes
-// plus the header fields.
-const traceFixedBytes = int64(traceRingCap)*24 + 96
 
 // SetEnabled flips trace collection.
 func (t *Tracer) SetEnabled(on bool) {
@@ -302,130 +157,77 @@ func (t *Tracer) SetEnabled(on bool) {
 	t.enabled.Store(on)
 }
 
-// Enabled reports whether traces are being collected.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// BeginTxn opens a trace for transaction id, or returns nil (a valid
-// no-op trace) when tracing is disabled or the sampling controller
-// duty-cycled this transaction out. Skipped transactions still count
-// in the sampler's rate estimate — only span capture is elided.
-func (t *Tracer) BeginTxn(id uint64) *TxnTrace {
-	if t == nil || !t.enabled.Load() {
-		return nil
+// Begin opens transaction id's capture for profiler p (nil = none) and,
+// when tracing is on and the sampling controller admits the
+// transaction, for this tracer. It returns nil, a valid no-op capture,
+// when neither wants it. Skipped transactions still count in the
+// sampler's rate estimate — only span capture is elided.
+func (t *Tracer) Begin(p *tprofiler.Profiler, id uint64) *tprofiler.TxnCtx {
+	traced := t != nil && t.enabled.Load() && t.sampler.Admit()
+	tc := tprofiler.Capture(p, traced)
+	if tc != nil {
+		tc.ID = id
 	}
-	if t.sampler != nil && !t.sampler.Admit() {
-		return nil
-	}
-	tr := &TxnTrace{ID: id, Begin: time.Now()}
-	tr.events[0] = Event{Type: EvBegin}
-	tr.n = 1
-	return tr
+	return tc
 }
 
-// End finalizes the trace, feeds the variance engine (committed traces
-// only — aborts have a different latency population), and offers it to
-// the slow ring: it is retained if the ring has room or its latency
-// exceeds the ring's current minimum (which it evicts). The ring then
-// sheds cheapest-first until it is back under its byte budget.
-func (t *Tracer) End(tr *TxnTrace, aborted bool) {
-	if t == nil || tr == nil {
+// End closes the capture, handing it to its profiler, if any. If the
+// tracer sampled it, End feeds its factor totals to the variance engine
+// (committed transactions only — aborts have a different latency
+// population) and offers it to the slow ring, which keeps the slowest
+// captures within its count and byte bounds. End on a nil tracer still
+// closes the capture.
+func (t *Tracer) End(tc *tprofiler.TxnCtx, aborted bool) {
+	tc.End()
+	if t == nil || !tc.Traced() {
 		return
 	}
-	tr.Latency = time.Since(tr.Begin)
-	tr.Aborted = aborted
-	if aborted {
-		tr.Add(EvAbort, 0, 0)
-	} else {
-		tr.Add(EvCommit, 0, 0)
-	}
-	t.sampler.NoteTraceEvents(tr.n)
+	tc.Aborted = aborted
+	t.sampler.NoteTraceEvents(tc.SpanCount())
 	if !aborted && (t.variance.Enabled() || t.sink != nil) {
-		totalMs := float64(tr.Latency) / float64(time.Millisecond)
-		spans := tr.Spans()
-		t.variance.Record(totalMs, spans)
+		totalMs := float64(tc.Latency) / float64(time.Millisecond)
+		var buf [numFactors]tprofiler.Span
+		t.variance.Record(totalMs, factorSpans(tc, buf[:0]))
 		if t.sink != nil {
-			t.sink(totalMs, spans)
+			t.sink(totalMs, factorMap(tc))
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.slow) < t.cap {
-		t.slow = append(t.slow, tr)
-		t.bytes += tr.footprint()
-	} else {
-		if tr.Latency <= t.slow[t.minIdx].Latency {
-			return
-		}
-		t.bytes += tr.footprint() - t.slow[t.minIdx].footprint()
-		t.slow[t.minIdx] = tr
+	if len(t.slow) == t.cap && tc.Latency <= t.slow[len(t.slow)-1].Latency {
+		return
 	}
-	t.reindexLocked()
-	// Byte bound: evict the cheapest retained trace until under budget,
-	// but never the one just added past the point of emptying the ring.
-	for t.bytes > t.maxBytes && len(t.slow) > 1 {
-		t.bytes -= t.slow[t.minIdx].footprint()
-		last := len(t.slow) - 1
-		t.slow[t.minIdx] = t.slow[last]
-		t.slow = t.slow[:last]
-		t.reindexLocked()
+	i := 0
+	for i < len(t.slow) && t.slow[i].Latency >= tc.Latency {
+		i++
+	}
+	t.slow = slices.Insert(t.slow, i, tc)
+	t.bytes += footprint(tc)
+	// Count and byte bounds: evict the fastest retained capture, but
+	// never empty the ring.
+	for len(t.slow) > 1 && (len(t.slow) > t.cap || t.bytes > t.maxBytes) {
+		t.bytes -= footprint(t.slow[len(t.slow)-1])
+		t.slow = t.slow[:len(t.slow)-1]
 	}
 }
 
-func (t *Tracer) reindexLocked() {
-	t.minIdx = 0
-	for i, s := range t.slow {
-		if s.Latency < t.slow[t.minIdx].Latency {
-			t.minIdx = i
-		}
-	}
-}
-
-// RetainedBytes reports the slow ring's current estimated resident
-// bytes (always ≤ the tracer's byte budget).
-func (t *Tracer) RetainedBytes() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
-}
-
-// Slow returns the retained traces, slowest first.
-func (t *Tracer) Slow() []*TxnTrace {
+// Slow returns the retained captures, slowest first.
+func (t *Tracer) Slow() []*tprofiler.TxnCtx {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]*TxnTrace(nil), t.slow...)
-	t.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Latency > out[j-1].Latency; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	defer t.mu.Unlock()
+	return slices.Clone(t.slow)
 }
 
-// Reset discards retained traces.
+// Reset discards retained captures.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.slow = t.slow[:0]
-	t.minIdx = 0
 	t.bytes = 0
 	t.mu.Unlock()
-}
-
-// ReplayAll replays every retained trace into p, returning how many
-// were replayed. Together with tprofiler.TopFactors this turns the
-// live slow ring into a ranked variance-factor list.
-func (t *Tracer) ReplayAll(p *tprofiler.Profiler) int {
-	traces := t.Slow()
-	for _, tr := range traces {
-		tr.ReplayInto(p)
-	}
-	return len(traces)
 }

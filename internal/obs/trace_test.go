@@ -8,62 +8,59 @@ import (
 	"vats/internal/tprofiler"
 )
 
-func TestTxnTraceRingOverwrite(t *testing.T) {
-	tr := &TxnTrace{ID: 1, Begin: time.Now()}
-	for i := 0; i < traceRingCap+10; i++ {
-		tr.AddAt(EvLockWait, time.Duration(i), 0, uint64(i))
-	}
-	if got := tr.Dropped(); got != 10 {
-		t.Fatalf("Dropped = %d, want 10", got)
-	}
-	evs := tr.Events()
-	if len(evs) != traceRingCap {
-		t.Fatalf("len(Events) = %d, want %d", len(evs), traceRingCap)
-	}
-	// Oldest retained event is #10; order must be append order.
-	if evs[0].Arg != 10 || evs[len(evs)-1].Arg != uint64(traceRingCap+9) {
-		t.Fatalf("ring order wrong: first=%d last=%d", evs[0].Arg, evs[len(evs)-1].Arg)
-	}
+// endAfter ends a capture as if it had run for d.
+func endAfter(tr *Tracer, tc *tprofiler.TxnCtx, d time.Duration, aborted bool) {
+	tc.Begin = time.Now().Add(-d)
+	tr.End(tc, aborted)
 }
 
-func TestTxnTraceNilSafe(t *testing.T) {
-	var tr *TxnTrace
-	tr.Add(EvCommit, 0, 0)
-	tr.AddAt(EvBegin, 0, 0, 0)
-	tr.SetTag("x")
-	if tr.Events() != nil || tr.Spans() != nil || tr.Dropped() != 0 {
-		t.Fatal("nil trace accessors must return zero values")
+func TestFactorTable(t *testing.T) {
+	tc := tprofiler.Capture(nil, true)
+	sel := tc.Enter("exec.select")
+	tc.Record("lock.wait.read", 3*time.Millisecond)
+	row := tc.Enter("row.read")
+	tc.Record(FactorBufIO, 2*time.Millisecond)
+	tc.Record(FactorBufLRU, 0) // zero: no factor entry
+	tc.Exit(row)
+	tc.Exit(sel)
+	upd := tc.Enter("exec.update")
+	tc.Record("lock.wait.write", time.Millisecond)
+	tc.Exit(upd)
+	c := tc.Enter("commit")
+	tc.Record(FactorLogFlush, 1500*time.Microsecond)
+	tc.Exit(c)
+	tc.Record(FactorNetQueueWait, 250*time.Microsecond)
+	tc.End()
+	got := factorMap(tc)
+	want := map[string]float64{FactorLockWait: 4, FactorBufIO: 2, FactorLogFlush: 1.5, FactorNetQueueWait: 0.25}
+	if len(got) != len(want) {
+		t.Fatalf("factors = %v, want %v", got, want)
 	}
-	tr.ReplayInto(tprofiler.New()) // must not panic
-}
-
-func TestTxnTraceSpansPairing(t *testing.T) {
-	tr := &TxnTrace{ID: 1, Begin: time.Now()}
-	tr.AddAt(EvBegin, 0, 0, 0)
-	tr.AddAt(EvLockWait, 1*time.Millisecond, 0, 7)
-	tr.AddAt(EvLockGrant, 4*time.Millisecond, 3*time.Millisecond, 7)
-	tr.AddAt(EvPageMiss, 5*time.Millisecond, 2*time.Millisecond, 0)
-	tr.AddAt(EvLogFlush, 8*time.Millisecond, 1500*time.Microsecond, 0)
-	spans := tr.Spans()
-	if got := spans["lock.wait"]; got != 3 {
-		t.Fatalf("lock.wait = %v ms, want 3 (grant at 4ms - wait at 1ms)", got)
-	}
-	if got := spans["buf.io"]; got != 2 {
-		t.Fatalf("buf.io = %v ms, want 2", got)
-	}
-	if got := spans["log.flush"]; got != 1.5 {
-		t.Fatalf("log.flush = %v ms, want 1.5", got)
+	for f, v := range want {
+		if d := got[f] - v; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("%s = %v ms, want %v (all: %v)", f, got[f], v, got)
+		}
 	}
 }
 
 func TestTracerDisabledReturnsNil(t *testing.T) {
-	tc := NewTracer(4)
-	tc.SetEnabled(false)
-	if tr := tc.BeginTxn(1); tr != nil {
-		t.Fatal("disabled tracer must hand out nil traces")
+	tr := NewTracerSized(4, 0)
+	tr.SetEnabled(false)
+	if tc := tr.Begin(nil, 1); tc != nil {
+		t.Fatal("disabled tracer without a profiler must hand out nil captures")
+	}
+	// A profiler still gets its capture; the tracer does not keep it.
+	p := tprofiler.New()
+	tc := tr.Begin(p, 2)
+	if tc == nil || tc.Traced() {
+		t.Fatalf("profiled capture under a disabled tracer: %+v", tc)
+	}
+	tr.End(tc, false)
+	if len(tr.Slow()) != 0 || p.TxnCount() != 1 {
+		t.Fatalf("ring %d, profiler %d; want 0, 1", len(tr.Slow()), p.TxnCount())
 	}
 	var nilTracer *Tracer
-	if nilTracer.BeginTxn(1) != nil || nilTracer.Enabled() {
+	if nilTracer.Begin(nil, 1) != nil {
 		t.Fatal("nil tracer must be a no-op")
 	}
 	nilTracer.End(nil, false)
@@ -71,71 +68,58 @@ func TestTracerDisabledReturnsNil(t *testing.T) {
 }
 
 func TestTracerWorstKRetention(t *testing.T) {
-	tc := NewTracer(3)
-	// Synthesize traces with controlled latencies by setting fields
-	// directly (End computes Latency from wall clock, so emulate its
-	// retention logic through End with pre-dated Begin).
+	tr := NewTracerSized(3, 0)
 	lat := []time.Duration{
 		5 * time.Millisecond, 50 * time.Millisecond, 1 * time.Millisecond,
 		20 * time.Millisecond, 100 * time.Millisecond, 2 * time.Millisecond,
 	}
 	for i, d := range lat {
-		tr := tc.BeginTxn(uint64(i))
-		tr.Begin = time.Now().Add(-d)
-		tc.End(tr, false)
+		endAfter(tr, tr.Begin(nil, uint64(i)), d, false)
 	}
-	slow := tc.Slow()
+	slow := tr.Slow()
 	if len(slow) != 3 {
-		t.Fatalf("retained %d traces, want 3", len(slow))
+		t.Fatalf("retained %d captures, want 3", len(slow))
 	}
 	// Slowest-first ordering; worst three of the synthetic set are
 	// 100ms, 50ms, 20ms (ids 4, 1, 3).
 	wantIDs := []uint64{4, 1, 3}
-	for i, tr := range slow {
-		if tr.ID != wantIDs[i] {
-			t.Fatalf("slow[%d].ID = %d, want %d (latencies %v)", i, tr.ID, wantIDs[i], lat)
+	for i, tc := range slow {
+		if tc.ID != wantIDs[i] {
+			t.Fatalf("slow[%d].ID = %d, want %d (latencies %v)", i, tc.ID, wantIDs[i], lat)
 		}
 	}
-	tc.Reset()
-	if len(tc.Slow()) != 0 {
+	tr.Reset()
+	if len(tr.Slow()) != 0 {
 		t.Fatal("Reset must clear the ring")
 	}
 }
 
-func TestReplayIntoProducesRankedFactors(t *testing.T) {
-	tc := NewTracer(8)
+// TestSlowRingRanksFactors checks /debug/txns over retained captures:
+// the factor totals, the timeline, and ?factors= ranking.
+func TestSlowRingRanksFactors(t *testing.T) {
+	o := NewWith(Config{Sampling: SamplingConfig{Budget: -1}})
 	for i := 0; i < 8; i++ {
-		tr := tc.BeginTxn(uint64(i))
+		tc := o.Tracer.Begin(nil, uint64(i))
 		// Lock wait dominates the variance: it grows quadratically
 		// across transactions while log flush stays fixed.
 		wait := time.Duration(i*i) * time.Millisecond
-		tr.AddAt(EvLockWait, time.Millisecond, 0, 1)
-		tr.AddAt(EvLockGrant, time.Millisecond+wait, wait, 1)
-		tr.AddAt(EvLogFlush, 2*time.Millisecond, time.Millisecond, 0)
-		tr.Begin = time.Now().Add(-(5*time.Millisecond + wait))
-		tc.End(tr, false)
+		tc.Record("lock.wait.write", wait)
+		tc.Record(FactorLogFlush, time.Millisecond)
+		endAfter(o.Tracer, tc, 5*time.Millisecond+wait, false)
 	}
-	p := tprofiler.New()
-	if n := tc.ReplayAll(p); n != 8 {
-		t.Fatalf("replayed %d traces, want 8", n)
+	resp := txnsPayload(o, 5)
+	if resp.Count != 8 {
+		t.Fatalf("ring holds %d captures, want 8", resp.Count)
 	}
-	if p.TxnCount() != 8 {
-		t.Fatalf("profiler TxnCount = %d, want 8", p.TxnCount())
+	top := resp.Traces[0]
+	if top.ID != 7 || top.Spans[FactorLockWait] != 49 || top.Spans[FactorLogFlush] != 1 {
+		t.Fatalf("slowest capture %+v, want id 7 with lock.wait 49 and log.flush 1", top)
 	}
-	factors := p.TopFactors(5)
-	if len(factors) == 0 {
-		t.Fatal("replay produced no ranked factors")
+	if len(top.Events) != 2 || top.Events[0].Name != "lock.wait.write" || top.Events[0].DurMs != 49 {
+		t.Fatalf("timeline %+v", top.Events)
 	}
-	found := false
-	for _, f := range factors {
-		for _, fn := range f.Functions {
-			if fn == "lock.wait" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("lock.wait missing from top factors: %+v", factors)
+	if len(resp.Factors) == 0 || resp.Factors[0].Functions[0] != FactorLockWait {
+		t.Fatalf("lock.wait must rank first: %+v", resp.Factors)
 	}
 }
 
@@ -145,7 +129,7 @@ func TestObsBundleEnableDisable(t *testing.T) {
 		t.Fatal("New() bundle must start enabled")
 	}
 	o.SetEnabled(false)
-	if o.Enabled() || o.Tracer.Enabled() {
+	if o.Enabled() || o.Tracer.enabled.Load() {
 		t.Fatal("SetEnabled(false) must disable both surfaces")
 	}
 	var nilObs *Obs
@@ -162,36 +146,33 @@ func TestObsBundleEnableDisable(t *testing.T) {
 }
 
 func TestTracerByteBound(t *testing.T) {
-	// Budget fits ~4 tagless traces; the count cap (16) is far above it,
-	// so the byte bound is what binds.
-	budget := 4*traceFixedBytes + 10
-	tc := NewTracerSized(16, budget)
+	// Budget fits ~4 tagless captures; the count cap (16) is far above
+	// it, so the byte bound is what binds.
+	budget := 4*captureBytes + 10
+	tr := NewTracerSized(16, budget)
 	for i := 0; i < 12; i++ {
-		tr := tc.BeginTxn(uint64(i))
-		tr.Begin = time.Now().Add(-time.Duration(i+1) * time.Millisecond)
-		tc.End(tr, false)
+		endAfter(tr, tr.Begin(nil, uint64(i)), time.Duration(i+1)*time.Millisecond, false)
 	}
-	if got := tc.RetainedBytes(); got > budget {
+	if got := tr.bytes; got > budget {
 		t.Fatalf("retained %d bytes, budget %d", got, budget)
 	}
-	slow := tc.Slow()
+	slow := tr.Slow()
 	if len(slow) == 0 || len(slow) > 4 {
-		t.Fatalf("retained %d traces, want 1..4 under byte budget", len(slow))
+		t.Fatalf("retained %d captures, want 1..4 under byte budget", len(slow))
 	}
 	// The byte bound evicts cheapest-first, so the slowest must survive.
 	if slow[0].ID != 11 {
-		t.Fatalf("slowest trace (id 11) evicted; got id %d", slow[0].ID)
+		t.Fatalf("slowest capture (id 11) evicted; got id %d", slow[0].ID)
 	}
 	// Large tags count against the budget.
-	tr := tc.BeginTxn(100)
-	tr.SetTag(strings.Repeat("x", int(budget)))
-	tr.Begin = time.Now().Add(-time.Hour) // slowest ever: must be admitted
-	tc.End(tr, false)
-	if got := len(tc.Slow()); got != 1 {
-		t.Fatalf("oversized-tag trace should have evicted the rest, ring has %d", got)
+	tc := tr.Begin(nil, 100)
+	tc.Tag = strings.Repeat("x", int(budget))
+	endAfter(tr, tc, time.Hour, false) // slowest ever: must be admitted
+	if got := len(tr.Slow()); got != 1 {
+		t.Fatalf("oversized-tag capture should have evicted the rest, ring has %d", got)
 	}
-	tc.Reset()
-	if tc.RetainedBytes() != 0 {
+	tr.Reset()
+	if tr.bytes != 0 {
 		t.Fatal("Reset must zero the byte accounting")
 	}
 }
@@ -201,9 +182,9 @@ func TestTracerSamplerGate(t *testing.T) {
 	o.Sampler.mod.Store(5)
 	traced := 0
 	for i := 0; i < 500; i++ {
-		if tr := o.Tracer.BeginTxn(uint64(i)); tr != nil {
+		if tc := o.Tracer.Begin(nil, uint64(i)); tc != nil {
 			traced++
-			o.Tracer.End(tr, false)
+			o.Tracer.End(tc, false)
 		}
 	}
 	if traced < 90 || traced > 110 {

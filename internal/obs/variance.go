@@ -14,7 +14,7 @@ import (
 )
 
 // VarianceEngine is the always-on variance-attribution engine: every
-// committed transaction's aggregated factor spans (lock.wait, buf.io,
+// committed, sampled transaction's factor totals (lock.wait, buf.io,
 // log.flush, ...) feed streaming Welford/covariance accumulators, so
 // the system continuously knows which factors the latency variance
 // decomposes into — the same decomposition tprofiler computes, over a
@@ -117,11 +117,11 @@ func (e *VarianceEngine) SetEnabled(on bool) {
 func (e *VarianceEngine) Enabled() bool { return e != nil && e.on.Load() }
 
 // Record folds one committed transaction into the live window: its
-// end-to-end latency (ms) and its per-factor span totals (ms, flat
-// names — the shape TxnTrace.Spans produces). Factors absent from a
+// end-to-end latency (ms) and its per-factor totals (ms, flat factor
+// names — what the tracer folds a capture into). Factors absent from a
 // transaction count as zero, keeping the decomposition consistent.
 // A nil engine or disabled engine no-ops.
-func (e *VarianceEngine) Record(totalMs float64, spans map[string]float64) {
+func (e *VarianceEngine) Record(totalMs float64, spans []tprofiler.Span) {
 	if e == nil || !e.on.Load() {
 		return
 	}

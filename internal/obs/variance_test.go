@@ -21,6 +21,15 @@ type synthTrace struct {
 	spans   map[string]float64
 }
 
+// spanList is m as the span list Record takes.
+func spanList(m map[string]float64) []tprofiler.Span {
+	out := make([]tprofiler.Span, 0, len(m))
+	for path, v := range m {
+		out = append(out, tprofiler.Span{Path: path, Ms: v})
+	}
+	return out
+}
+
 // genTraces produces a seeded trace stream in which lock.wait dominates
 // the variance, log.flush is steady, and buf.io only appears after the
 // first third — exercising the late-factor backfill path.
@@ -60,7 +69,7 @@ func TestVarianceOnlineMatchesOfflineProfiler(t *testing.T) {
 	e := NewVarianceEngine(VarianceConfig{Window: time.Hour})
 	p := tprofiler.New()
 	for _, tr := range traces {
-		e.Record(tr.totalMs, tr.spans)
+		e.Record(tr.totalMs, spanList(tr.spans))
 		p.AddTrace(tr.totalMs, tr.spans)
 	}
 	compareOnlineOffline(t, e, p, traces, 1e-9)
@@ -81,7 +90,7 @@ func TestVarianceMergeAcrossGoroutines(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(traces); i += workers {
-				e.Record(traces[i].totalMs, traces[i].spans)
+				e.Record(traces[i].totalMs, spanList(traces[i].spans))
 			}
 		}(w)
 	}
@@ -215,7 +224,7 @@ func TestVarianceExplainedShare(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		a := rng.ExpFloat64()
 		b := rng.Float64() * 2
-		e.Record(a+b, map[string]float64{"a": a, "b": b})
+		e.Record(a+b, spanList(map[string]float64{"a": a, "b": b}))
 	}
 	snap := e.Snapshot()
 	if !within(snap.ExplainedShare, 1, 1e-9) {
@@ -236,10 +245,10 @@ func TestVarianceWindowRotation(t *testing.T) {
 	}
 	deadline := time.Now().Add(80 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		e.Record(1+rand.Float64(), map[string]float64{"a": 0.5})
+		e.Record(1+rand.Float64(), spanList(map[string]float64{"a": 0.5}))
 		time.Sleep(time.Millisecond)
 	}
-	e.Record(1, map[string]float64{"a": 0.5}) // ensure a final rotation candidate
+	e.Record(1, spanList(map[string]float64{"a": 0.5})) // ensure a final rotation candidate
 	mu.Lock()
 	n := len(closed)
 	mu.Unlock()
@@ -264,10 +273,10 @@ func TestVarianceRotationRace(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for time.Now().Before(stop) {
-				e.Record(rng.ExpFloat64(), map[string]float64{
+				e.Record(rng.ExpFloat64(), spanList(map[string]float64{
 					FactorLockWait: rng.Float64(),
 					FactorLogFlush: rng.Float64(),
-				})
+				}))
 			}
 		}(w)
 	}
@@ -300,7 +309,7 @@ func TestVarianceMaxFactorsCap(t *testing.T) {
 			for i := 0; i <= maxFactors; i++ {
 				spans[fmt.Sprintf("f%02d", i)] = float64(i)
 			}
-			e.Record(1, spans)
+			e.Record(1, spanList(spans))
 		}()
 	}
 	wg.Wait()
@@ -316,7 +325,7 @@ func TestVarianceMaxFactorsCap(t *testing.T) {
 // TestVarianceDisabledAndNil checks the always-compiled-in contract.
 func TestVarianceDisabledAndNil(t *testing.T) {
 	var nilE *VarianceEngine
-	nilE.Record(1, map[string]float64{"a": 1}) // must not panic
+	nilE.Record(1, spanList(map[string]float64{"a": 1})) // must not panic
 	nilE.SetEnabled(true)
 	if nilE.Enabled() {
 		t.Fatal("nil engine is never enabled")
@@ -326,7 +335,7 @@ func TestVarianceDisabledAndNil(t *testing.T) {
 	}
 	e := NewVarianceEngine(VarianceConfig{})
 	e.SetEnabled(false)
-	e.Record(1, map[string]float64{"a": 1})
+	e.Record(1, spanList(map[string]float64{"a": 1}))
 	if s := e.Snapshot(); s.N != 0 {
 		t.Fatal("disabled engine must not record")
 	}
@@ -415,27 +424,28 @@ func TestSamplerUnlimitedAdmitsAll(t *testing.T) {
 			t.Fatal("negative budget must admit every transaction")
 		}
 	}
-	if s.Modulus() != 1 {
-		t.Fatalf("modulus = %d, want 1", s.Modulus())
+	if s.State().Modulus != 1 {
+		t.Fatalf("modulus = %d, want 1", s.State().Modulus)
 	}
 }
 
 func TestSamplerRetarget(t *testing.T) {
-	s := NewSampler(SamplingConfig{Budget: 0.01, CostNs: 1000, EventCostNs: 0})
-	// 100k txn/s at 1µs each = 0.1 cores; 1% budget → modulus 10.
-	s.retarget(100_000)
-	if m := s.Modulus(); m != 10 {
+	s := NewSampler(SamplingConfig{Budget: 0.01})
+	// At the fixed cost c ns per trace, 10⁷/c txn/s spend 1% of a
+	// core; ten times that rate needs modulus 10.
+	s.retarget(10 * 1e7 / traceCostNs)
+	if m := s.State().Modulus; m != 10 {
 		t.Fatalf("modulus = %d, want 10", m)
 	}
 	// Light load snaps back to tracing everything.
 	s.retarget(100)
-	if m := s.Modulus(); m != 1 {
+	if m := s.State().Modulus; m != 1 {
 		t.Fatalf("modulus after load drop = %d, want 1", m)
 	}
 	// Zero budget: effectively off.
 	s.SetBudget(0)
 	s.retarget(100_000)
-	if m := s.Modulus(); m < math.MaxInt32 {
+	if m := s.State().Modulus; m < math.MaxInt32 {
 		t.Fatalf("zero budget modulus = %d, want MaxInt32", m)
 	}
 }
@@ -457,17 +467,17 @@ func TestSamplerModulusDutyCycle(t *testing.T) {
 }
 
 func TestSamplerCostEWMA(t *testing.T) {
-	s := NewSampler(SamplingConfig{CostNs: 1000, EventCostNs: 100})
-	base := s.CostPerTraceNs()
-	if base != 1000 {
-		t.Fatalf("initial cost = %d, want 1000 (no events observed)", base)
+	s := NewSampler(SamplingConfig{})
+	base := s.costPerTrace()
+	if base != traceCostNs {
+		t.Fatalf("initial cost = %d, want %d (no spans observed)", base, traceCostNs)
 	}
 	for i := 0; i < 64; i++ {
 		s.NoteTraceEvents(20)
 	}
-	got := s.CostPerTraceNs()
-	if got < 2500 || got > 3000 {
-		t.Fatalf("cost after EWMA convergence = %d, want ~3000 (1000 + 20*100)", got)
+	got, want := s.costPerTrace(), int64(traceCostNs+20*spanCostNs)
+	if got < want-want/10 || got > want {
+		t.Fatalf("cost after EWMA convergence = %d, want ~%d (fixed + 20 spans)", got, want)
 	}
 	st := s.State()
 	if st.CostPerTrace != got || st.Modulus != 1 {
@@ -482,8 +492,8 @@ func TestSamplerNilSafe(t *testing.T) {
 	}
 	s.NoteTraceEvents(5)
 	s.SetBudget(0.5)
-	if s.Modulus() != 1 || s.CostPerTraceNs() != 0 || s.Rate() != 0 || s.EstimatedOverhead() != 0 {
-		t.Fatal("nil sampler accessors must return zeros")
+	if st := s.State(); st.Modulus != 1 || st.BudgetFrac != -1 || st.CostPerTrace != 0 || st.RateTxnS != 0 || st.EstimatedFrac != 0 {
+		t.Fatalf("nil sampler state %+v, want unlimited budget, modulus 1 and zeros", st)
 	}
 }
 
@@ -496,10 +506,9 @@ func TestTracerFeedsVarianceAndSink(t *testing.T) {
 		mirrored = append(mirrored, synthTrace{totalMs: totalMs, spans: spans})
 	})
 	for i := 0; i < 10; i++ {
-		tr := o.Tracer.BeginTxn(uint64(i))
-		tr.AddAt(EvLogFlush, time.Millisecond, time.Millisecond, 0)
-		tr.Begin = time.Now().Add(-5 * time.Millisecond)
-		o.Tracer.End(tr, i == 9) // last one aborts
+		tc := o.Tracer.Begin(nil, uint64(i))
+		tc.Record(FactorLogFlush, time.Millisecond)
+		endAfter(o.Tracer, tc, 5*time.Millisecond, i == 9) // last one aborts
 	}
 	if len(mirrored) != 9 {
 		t.Fatalf("sink saw %d traces, want 9 (aborts excluded)", len(mirrored))

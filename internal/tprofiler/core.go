@@ -36,6 +36,7 @@ type Decomp struct {
 	kids    map[string][]int // parent path → indices of its child paths
 	pairs   []pairAcc
 	vals    []float64 // Add's scratch: the transaction's value per path
+	idx     []int     // Add's scratch: each span's path index, or -1
 }
 
 // pairAcc is one sibling pair: c accumulates (X_paths[i], X_paths[j]).
@@ -75,18 +76,26 @@ func (d *Decomp) addPath(path string) (int, bool) {
 
 // Add folds one transaction: its total latency and its per-path span
 // totals (paths absent from spans count as 0).
-func (d *Decomp) Add(total float64, spans map[string]float64) {
-	for path := range spans {
-		if _, ok := d.index[path]; !ok {
-			d.addPath(path)
+func (d *Decomp) Add(total float64, spans []Span) {
+	d.idx = d.idx[:0]
+	for _, s := range spans {
+		i, ok := d.index[s.Path]
+		if !ok {
+			if i, ok = d.addPath(s.Path); !ok {
+				i = -1
+			}
 		}
+		d.idx = append(d.idx, i)
 	}
 	if cap(d.vals) < len(d.paths) {
 		d.vals = make([]float64, len(d.paths))
 	}
 	d.vals = d.vals[:len(d.paths)]
-	for i, path := range d.paths {
-		d.vals[i] = spans[path]
+	clear(d.vals)
+	for k, i := range d.idx {
+		if i >= 0 {
+			d.vals[i] += spans[k].Ms
+		}
 	}
 	d.total.Add(total)
 	for i := range d.nodes {

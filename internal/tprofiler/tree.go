@@ -108,17 +108,17 @@ const (
 // across its call sites) or a co-varying function pair. This is what
 // TProfiler reports to the developer (the paper's Tables 1 and 2).
 type Factor struct {
-	Kind FactorKind
+	Kind FactorKind `json:"-"`
 	// Functions holds one name (variance) or two (covariance).
-	Functions []string
+	Functions []string `json:"functions"`
 	// Value is Σ V(φi) across call sites: the variance, or 2·covariance
 	// (the factor's contribution to the parent's variance per eq. 1).
-	Value float64
+	Value float64 `json:"value"`
 	// Score = specificity · Value (eq. 3).
-	Score float64
+	Score float64 `json:"score"`
 	// FracOfTotal is Value / Var(txn): the "Percentage of Overall
 	// Variance" column of Tables 1 and 2.
-	FracOfTotal float64
+	FracOfTotal float64 `json:"frac_of_total"`
 }
 
 // String renders the factor like the paper's tables.

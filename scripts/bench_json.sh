@@ -64,8 +64,6 @@ elif [ "$suite" = scan ]; then
 		-benchmem -benchtime 300x ./internal/engine/ | tee -a "$tmp"
 	go test -run xxx -bench 'BenchmarkScanForms' \
 		-benchmem -benchtime 500x ./internal/exec/ | tee -a "$tmp"
-	go test -run xxx -bench 'BenchmarkPlanCache' \
-		-benchmem -benchtime "$benchtime" ./internal/exec/ | tee -a "$tmp"
 elif [ "$suite" = partition ]; then
 	# Fixed iteration counts: the closed-loop TPC-C cases are simulated-
 	# device-bound (milliseconds per op), so a stable sample size keeps

@@ -113,13 +113,6 @@ type (
 	Row = exec.Row
 	// Iterator is a single-use executor row stream.
 	Iterator = exec.Iterator
-	// Planner memoizes compiled scan plans in an LRU keyed by
-	// (table, index, predicate shape).
-	Planner = exec.Planner
-	// ScanSpec describes a scan for the planner.
-	ScanSpec = exec.Spec
-	// PredShape identifies a predicate's structure for plan caching.
-	PredShape = exec.PredShape
 )
 
 // NewTableScan streams a table's rows in key order at tx's snapshot,
@@ -147,10 +140,6 @@ func Limit(in Iterator, n int) Iterator { return exec.Limit(in, n) }
 
 // Merge combines key-ordered iterators into one key-ordered stream.
 func Merge(ins ...Iterator) Iterator { return exec.Merge(ins...) }
-
-// NewPlanner builds a scan planner with the given plan-cache capacity
-// (0 = default).
-func NewPlanner(capacity int) *Planner { return exec.NewPlanner(capacity) }
 
 // NewRowReader wraps a row image for decoding.
 func NewRowReader(row []byte) *RowReader { return storage.NewRowReader(row) }
