@@ -11,8 +11,11 @@
 // before a mutation keeps iterating the old version. Writers must still
 // be externally synchronized with each other (the storage layer holds
 // its table mutex around mutations); only reader/writer concurrency is
-// handled here. Values are shared between snapshots, so callers must
-// treat stored values as immutable (replace, don't mutate in place).
+// handled here. Values are shared between snapshots, so a stored value
+// is immutable: replace it, don't mutate it in place. Storage's
+// clustered index stores pointers to row heads, which are seqlocked
+// objects rewritten in place; the pointer itself never changes, so the
+// tree changes only when a key is inserted or deleted.
 package btree
 
 import (

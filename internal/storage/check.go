@@ -13,8 +13,9 @@ import (
 // every workload round and after crash recovery.
 //
 // The check takes the table write lock, so it sees a quiescent
-// structure; concurrent readers are unaffected (they read copy-on-write
-// snapshots).
+// structure: only commit stamps, which turn a write marker into a
+// timestamp and move nothing, may still land. Concurrent readers are
+// unaffected (they read the copy-on-write tree and seqlocked heads).
 func (t *Table) CheckInvariants(h *buffer.Handle) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -33,21 +33,24 @@ type RID struct {
 
 // Table is a multi-versioned heap table with a clustered B+-tree index
 // on a uint64 primary key. Row images are opaque byte slices (see
-// RowBuilder). The index maps each key to rowMeta: the newest version's
-// location and timestamp plus its chain of older versions in the
-// version arena (see mvcc.go).
+// RowBuilder). The index maps each key to its row head: a seqlocked
+// object holding the newest version's location and timestamp plus its
+// chain of older versions in the version arena (see mvcc.go). A key
+// keeps one head from insert until GC or an aborted insert removes it;
+// updates, commit stamps, abort restores and GC rewrite the head in
+// place, so the copy-on-write tree changes only on a key's birth or
+// death.
 //
-// Reads are optimistic: the clustered index is a copy-on-write tree
-// whose snapshots readers traverse lock-free, and a table-level
-// sequence counter validates that the index lookup and the page read
-// observed the same structural version (the seqlock pattern). Only the
-// operations that tombstone a slot — Delete and relocating Updates —
-// bump the sequence; Insert and in-place Update do not, because a row's
-// page image is in place before the index publishes its RID (and an
-// in-place overwrite publishes its new meta under the page latch before
-// touching bytes), so bulk loads never knock readers off the fast path.
-// A reader that keeps losing the race falls back to the shared lock,
-// which fully excludes structural writers.
+// Reads are optimistic: readers traverse the copy-on-write tree and
+// load heads lock-free, and a table-level sequence counter validates
+// that the head load and the page read observed the same structural
+// version (the seqlock pattern). Only the operations that tombstone a
+// slot — Delete and relocating Updates — bump the sequence; Insert and
+// in-place Update do not, because a row's page image is in place before
+// its head publishes the RID (and an in-place overwrite publishes its
+// new meta under the page latch before touching bytes), so bulk loads
+// never knock readers off the fast path. A reader that keeps losing the
+// race falls back to the shared lock, which excludes structural writers.
 //
 // Physical consistency is internal (seqlock + page latches); isolation
 // between transactions touching the same key is the caller's
@@ -66,10 +69,10 @@ type Table struct {
 	// (twice) while holding mu.
 	seq atomic.Uint64
 
-	// index maps primary key to version metadata. The tree is internally
-	// copy-on-write: lock-free readers always see a consistent
-	// snapshot; writers are serialized by mu.
-	index *btree.Tree[rowMeta]
+	// index maps each primary key to its row head. The tree is
+	// copy-on-write and changes only when a key is born or dies (under
+	// mu); a head is rewritten in place (see rowHead for who may).
+	index rowIndex
 
 	// idxs is the immutable secondary-index list, replaced wholesale by
 	// CreateIndex (copy-on-write under mu).
@@ -132,7 +135,7 @@ func NewTableWithClock(name string, space uint32, pool *buffer.Pool, clock *mvcc
 		pool:  pool,
 		clock: clock,
 		mv:    mv,
-		index: btree.New[rowMeta](0),
+		index: rowIndex{tree: btree.New[*rowHead](0), space: space},
 	}
 }
 
@@ -228,8 +231,8 @@ func (t *Table) InsertTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 // insertLocked installs a new version under key with timestamp ts
 // (commit ts or write marker). Caller holds t.mu.
 func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error {
-	meta, ok := t.index.Get(key)
-	if ok {
+	if hd := t.index.head(key); hd != nil {
+		meta := hd.load(t.space)
 		if !meta.tomb {
 			return ErrDuplicateKey
 		}
@@ -252,7 +255,7 @@ func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 			return err
 		}
 		meta.rid, meta.ts, meta.tomb = rid, ts, false
-		t.index.Insert(key, meta)
+		hd.store(meta)
 		t.noteHistoryLocked(key)
 		t.live.Add(1)
 		t.indexInsertLocked(key, row)
@@ -262,9 +265,9 @@ func (t *Table) insertLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	if err != nil {
 		return err
 	}
-	// The page image is written before the index publishes the RID, so
-	// optimistic readers either miss the key or see a complete row; no
-	// seq bump is needed.
+	// The page image is written before the index publishes the key's new
+	// head, so optimistic readers either miss the key or see a complete
+	// row; no seq bump is needed.
 	t.index.Insert(key, rowMeta{rid: rid, ts: ts})
 	t.live.Add(1)
 	t.indexInsertLocked(key, row)
@@ -444,8 +447,12 @@ func (t *Table) UpdateTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 // relocating the row if the new image no longer fits in place. Caller
 // holds t.mu.
 func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error {
-	meta, ok := t.index.Get(key)
-	if !ok || meta.tomb {
+	hd := t.index.head(key)
+	if hd == nil {
+		return ErrKeyNotFound
+	}
+	meta := hd.load(t.space)
+	if meta.tomb {
 		return ErrKeyNotFound
 	}
 	old, err := t.readRID(h, meta.rid)
@@ -465,8 +472,8 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	}
 	meta.ts = ts
 	// undoPush reverses this call's arena push when a later step fails:
-	// the new meta was never published (the index still holds the
-	// pre-call entry), so the pushed version is unreachable by every
+	// the new meta was never published (the head still holds the
+	// pre-call meta), so the pushed version is unreachable by every
 	// reader and freeing it keeps the arena gauges equal to what chains
 	// and limbo can reach.
 	undoPush := func() {
@@ -491,7 +498,7 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	inPlace := false
 	fr.Latch()
 	if _, length, ok := slotBounds(fr.Data(), meta.rid.Slot); ok && len(row) <= length {
-		t.index.Insert(key, meta)
+		hd.store(meta)
 		pageUpdateRowInPlace(fr.Data(), meta.rid.Slot, row)
 		inPlace = true
 	}
@@ -529,7 +536,7 @@ func (t *Table) updateLocked(h *buffer.Handle, ts, key uint64, row []byte) error
 	}
 	meta.rid = newRID
 	t.seq.Add(1)
-	t.index.Insert(key, meta)
+	hd.store(meta)
 	fr2.Latch()
 	pageDeleteRow(fr2.Data(), oldRID.Slot)
 	fr2.Unlatch()
@@ -576,8 +583,12 @@ func (t *Table) DeleteTxn(h *buffer.Handle, wid, key uint64) error {
 // optimistic reader can never see the dead slot with a stable sequence.
 // Caller holds t.mu.
 func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
-	meta, ok := t.index.Get(key)
-	if !ok || meta.tomb {
+	hd := t.index.head(key)
+	if hd == nil {
+		return ErrKeyNotFound
+	}
+	meta := hd.load(t.space)
+	if meta.tomb {
 		return ErrKeyNotFound
 	}
 	old, err := t.readRID(h, meta.rid)
@@ -612,7 +623,7 @@ func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
 	}
 	meta.ts, meta.tomb = ts, true
 	t.seq.Add(1)
-	t.index.Insert(key, meta)
+	hd.store(meta)
 	fr.Latch()
 	pageDeleteRow(fr.Data(), meta.rid.Slot)
 	fr.Unlatch()
@@ -626,12 +637,12 @@ func (t *Table) deleteLocked(h *buffer.Handle, ts, key uint64) error {
 
 // Scan calls fn for every key in [lo, hi] ascending until fn returns
 // false, at READ-COMMITTED isolation: it streams over a copy-on-write
-// index snapshot without taking the table lock and reads each key's
-// newest inline version, so rows committed, deleted, or relocated
-// mid-scan may or may not appear — each row image is individually
-// latch-consistent, but the scan as a whole is no single point in
-// time. Use SnapshotScan for a frozen-timestamp view. The row images
-// passed to fn are copies.
+// snapshot of the key set without taking the table lock and reads each
+// key's current head and newest inline version, so rows committed,
+// deleted, or relocated mid-scan may or may not appear — each row image
+// is individually latch-consistent, but the scan as a whole is no
+// single point in time. Use SnapshotScan for a frozen-timestamp view.
+// The row images passed to fn are copies.
 func (t *Table) Scan(h *buffer.Handle, lo, hi uint64, fn func(key uint64, row []byte) bool) error {
 	var err error
 	t.index.AscendRange(lo, hi, func(k uint64, meta rowMeta) bool {
