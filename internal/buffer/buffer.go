@@ -305,8 +305,9 @@ type Handle struct {
 }
 
 // SetWaitTracking enables hit-path LRU wait timing for this handle. The
-// engine turns it on when a profiler wants buf_pool_mutex_enter
-// attribution; without it the hit path skips the clock reads.
+// engine turns it on for each transaction it captures (a profiler or
+// obs's sampler wants buf_pool_mutex_enter attribution); without it the
+// hit path skips the clock reads.
 func (h *Handle) SetWaitTracking(on bool) { h.trackWaits = on }
 
 // TakeWaits returns and resets the LRU-lock and device-I/O wait time
