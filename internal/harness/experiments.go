@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -590,12 +591,23 @@ func Figure4BlockSize(o Opts) (Experiment, error) {
 // Figure 5 — TProfiler overhead and run counts.
 // ---------------------------------------------------------------------
 
+// fig5Passes is how many alternating passes Figure5Overhead splits each
+// side's transactions into; it reports the median pass.
+const fig5Passes = 5
+
 // Figure5Overhead reproduces fig. 5 (left): profiling overhead of
 // TProfiler vs a DTrace-like binary instrumenter as the number of
-// instrumented children grows.
+// instrumented children grows. The three sides (no profiler, TProfiler,
+// DTrace-like) run in fig5Passes passes, in alternating order, each
+// pass a fifth of o.Count transactions per side; an overhead is the
+// median of the per-pass ratios, so one disturbed pass cannot move it.
 func Figure5Overhead(o Opts) (Experiment, error) {
 	o = o.with(600, 1, 0)
 	childCounts := []int{1, 10, 50, 100}
+	perPass := o.Count / fig5Passes
+	if perPass < 1 {
+		perPass = 1
+	}
 
 	// One synthetic transaction: a root calling n children whose total
 	// work is ~1ms, the scale of a real OLTP transaction — overhead
@@ -609,7 +621,7 @@ func Figure5Overhead(o Opts) (Experiment, error) {
 		}
 		workPerChild := txnWork / time.Duration(n)
 		start := time.Now()
-		for t := 0; t < o.Count; t++ {
+		for t := 0; t < perPass; t++ {
 			tc := tprofiler.Capture(p, false)
 			root := tc.Enter("root")
 			for i := 0; i < n; i++ {
@@ -624,23 +636,27 @@ func Figure5Overhead(o Opts) (Experiment, error) {
 	}
 	var b strings.Builder
 	data := map[string]float64{}
-	fmt.Fprintf(&b, "Figure 5 (left): profiling overhead vs instrumented children\n")
+	fmt.Fprintf(&b, "Figure 5 (left): profiling overhead vs instrumented children (median of %d passes)\n", fig5Passes)
 	fmt.Fprintf(&b, "%-10s %14s %14s\n", "children", "tprofiler", "dtrace-like")
 	for _, n := range childCounts {
-		base := runTxns(nil, n)
 		tp := tprofiler.New()
-		tpTime := runTxns(tp, n)
 		dt := tprofiler.New()
 		dt.ProbeCost = 2 * time.Microsecond // binary-probe cost per event
-		dtTime := runTxns(dt, n)
-		tpOv := 100 * (float64(tpTime)/float64(base) - 1)
-		dtOv := 100 * (float64(dtTime)/float64(base) - 1)
-		if tpOv < 0 {
-			tpOv = 0
+		sides := []*tprofiler.Profiler{nil, tp, dt}
+		var tpOvs, dtOvs []float64
+		for pass := 0; pass < fig5Passes; pass++ {
+			var took [3]time.Duration
+			for i := range sides {
+				if pass%2 == 1 {
+					i = len(sides) - 1 - i // odd passes run the sides in reverse
+				}
+				took[i] = runTxns(sides[i], n)
+			}
+			tpOvs = append(tpOvs, 100*(float64(took[1])/float64(took[0])-1))
+			dtOvs = append(dtOvs, 100*(float64(took[2])/float64(took[0])-1))
 		}
-		if dtOv < 0 {
-			dtOv = 0
-		}
+		tpOv := math.Max(0, stats.Percentile(tpOvs, 0.5))
+		dtOv := math.Max(0, stats.Percentile(dtOvs, 0.5))
 		fmt.Fprintf(&b, "%-10d %13.1f%% %13.1f%%\n", n, tpOv, dtOv)
 		data[fmt.Sprintf("tprofiler/%d", n)] = tpOv
 		data[fmt.Sprintf("dtrace/%d", n)] = dtOv
