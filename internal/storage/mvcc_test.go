@@ -503,3 +503,36 @@ func TestSnapIterNextZeroAlloc(t *testing.T) {
 		t.Errorf("%v allocs per Next, want 0", allocs)
 	}
 }
+
+// TestStampCommitAllocatesNothing: a commit stamp rewrites the key's
+// row head in place, so it copies no B+-tree path and allocates nothing.
+func TestStampCommitAllocatesNothing(t *testing.T) {
+	tab, h := newMVCCTable(t)
+	const keys = 200
+	for k := uint64(1); k <= keys; k++ {
+		if err := tab.Insert(h, k, val(int(k))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.UpdateTxn(h, 1000+k, k, val(int(k)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := tab.Clock()
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(keys-1, func() {
+		k++
+		cts := clock.Allocate()
+		tab.StampCommit(1000+k, k, cts)
+		clock.Complete(cts)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per StampCommit, want 0", allocs)
+	}
+	r := clock.BeginRead()
+	defer clock.EndRead(r)
+	for k := uint64(1); k <= keys; k++ {
+		if got, err := tab.SnapshotGet(h, k, r); err != nil || string(got) != string(val(int(k)+1)) {
+			t.Fatalf("key %d after stamp: %q, %v", k, got, err)
+		}
+	}
+}
