@@ -29,11 +29,13 @@ type SnapshotTxn struct {
 // frontier.
 func (s *Session) BeginSnapshot() *SnapshotTxn {
 	s.db.mvmet.Snapshot()
-	return &SnapshotTxn{
+	tx := &SnapshotTxn{
 		s:      s,
 		readTS: s.db.clock.BeginRead(),
 		tc:     s.db.obs.Tracer.Begin(s.db.cfg.Profiler, 0),
 	}
+	s.beginWaits(tx.tc)
+	return tx
 }
 
 // ReadTS returns the frozen commit timestamp this snapshot reads at.
