@@ -12,10 +12,14 @@ import "time"
 //     every Sync an fdatasync (or a no-op under O_DSYNC), so the
 //     BENCH numbers measure hardware, not a model.
 //
-// Both keep a byte stream with the same crash semantics: an optional
-// fault plan adjudicates every operation by machine-wide op index, and
-// the durable/acked byte images are what recovery and the torture
-// auditors read back, whether the bytes live in memory or on disk.
+// Both embed one core (core.go): the spindle that serves one request at
+// a time, and the crash ledger that keeps the byte stream's crash
+// semantics. An optional fault Plan adjudicates every WriteData and Sync
+// by machine-wide op index, and the durable/acked byte images are what
+// recovery and the torture auditors read back, whether the bytes live in
+// memory or on disk. The backends differ only in where the bytes go
+// (heap chunks or pwrite/pread) and how service time is spent (a sampled
+// sleep or spin holding the spindle, or real syscalls).
 type Device interface {
 	// Latency-model operations, block-granular (the buffer pool uses
 	// the block calls). They return the time spent.

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"vats/internal/faultfs"
 )
 
 func fastConfig() Config {
@@ -101,7 +99,7 @@ func TestFaultStallDelaysOp(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Sigma = 0
 	// A plan whose first op always stalls (probability 1).
-	cfg.Faults = faultfs.NewPlan(1, faultfs.Config{StallP: 1, StallDur: 5 * time.Millisecond})
+	cfg.Faults = NewPlan(1, FaultConfig{StallP: 1, StallDur: 5 * time.Millisecond})
 	d := New(cfg)
 	start := time.Now()
 	if err := d.Sync(); err != nil {

@@ -7,11 +7,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"vats/internal/faultfs"
 )
 
-func faultDev(plan *faultfs.Plan) *Sim {
+func faultDev(plan *Plan) *Sim {
 	return New(Config{MedianLatency: time.Microsecond, BlockSize: 4096, Seed: 1, Faults: plan})
 }
 
@@ -37,14 +35,14 @@ func TestFaultDeviceWriteSyncPersists(t *testing.T) {
 func TestFaultDeviceCrashLosesCache(t *testing.T) {
 	// Crash at op 3: write, sync, then the second write is the crash
 	// point with nothing torn in.
-	d := faultDev(faultfs.NewPlan(2, faultfs.Config{CrashOp: 3, CrashTorn: 0}))
+	d := faultDev(NewPlan(2, FaultConfig{CrashOp: 3, CrashTorn: 0}))
 	d.WriteData([]byte("aa"))
 	d.Sync()
 	err := d.WriteData([]byte("bb"))
-	if !errors.Is(err, faultfs.ErrCrashed) {
+	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
-	if err := d.Sync(); !errors.Is(err, faultfs.ErrCrashed) {
+	if err := d.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash op = %v, want ErrCrashed", err)
 	}
 	if img := d.DurableImage(); !bytes.Equal(img, []byte("aa")) {
@@ -54,9 +52,9 @@ func TestFaultDeviceCrashLosesCache(t *testing.T) {
 
 func TestFaultDeviceTornFsync(t *testing.T) {
 	// Crash at the fsync (op 2) persisting half the cache.
-	d := faultDev(faultfs.NewPlan(3, faultfs.Config{CrashOp: 2, CrashTorn: 0.5}))
+	d := faultDev(NewPlan(3, FaultConfig{CrashOp: 2, CrashTorn: 0.5}))
 	d.WriteData([]byte("abcdefgh"))
-	if err := d.Sync(); !errors.Is(err, faultfs.ErrCrashed) {
+	if err := d.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
 	if img := d.DurableImage(); !bytes.Equal(img, []byte("abcd")) {
@@ -66,7 +64,7 @@ func TestFaultDeviceTornFsync(t *testing.T) {
 
 func TestFaultDeviceDroppedFsyncLies(t *testing.T) {
 	// Every fsync drops.
-	d := faultDev(faultfs.NewPlan(4, faultfs.Config{DropFsyncP: 1}))
+	d := faultDev(NewPlan(4, FaultConfig{DropFsyncP: 1}))
 	d.WriteData([]byte("xy"))
 	if err := d.Sync(); err != nil {
 		t.Fatalf("dropped fsync must report success, got %v", err)
@@ -84,14 +82,14 @@ func TestFaultDeviceDroppedFsyncLies(t *testing.T) {
 
 func TestFaultDeviceTransientErrorHasNoEffect(t *testing.T) {
 	// Every write/fsync errors transiently.
-	d := faultDev(faultfs.NewPlan(5, faultfs.Config{IOErrorP: 1}))
-	if err := d.WriteData([]byte("zz")); !errors.Is(err, faultfs.ErrIO) {
+	d := faultDev(NewPlan(5, FaultConfig{IOErrorP: 1}))
+	if err := d.WriteData([]byte("zz")); !errors.Is(err, ErrIO) {
 		t.Fatalf("err = %v, want ErrIO", err)
 	}
 	if n := d.WrittenLen(); n != 0 {
 		t.Fatalf("failed write accepted %d bytes", n)
 	}
-	if err := d.Sync(); !errors.Is(err, faultfs.ErrIO) {
+	if err := d.Sync(); !errors.Is(err, ErrIO) {
 		t.Fatalf("err = %v, want ErrIO", err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"vats/internal/faultfs"
 )
 
 func openTestFile(t *testing.T, cfg FileConfig) *File {
@@ -124,7 +122,7 @@ func TestFilePreallocation(t *testing.T) {
 // (what the upper layers believe), DurableImage does not (what a crash
 // preserves), and Lies counts each broken promise.
 func TestFileDroppedFsync(t *testing.T) {
-	plan := faultfs.NewPlan(7, faultfs.Config{DropFsyncP: 1})
+	plan := NewPlan(7, FaultConfig{DropFsyncP: 1})
 	d := openTestFile(t, FileConfig{Faults: plan})
 	if err := d.WriteData([]byte("doomed")); err != nil {
 		t.Fatal(err)
@@ -148,7 +146,7 @@ func TestFileDroppedFsync(t *testing.T) {
 // surface (volatile cache, dropped fsyncs) matches the simulated
 // device — a write alone must NOT be durable.
 func TestFileODSyncWithFaultsUsesCacheModel(t *testing.T) {
-	plan := faultfs.NewPlan(11, faultfs.Config{})
+	plan := NewPlan(11, FaultConfig{})
 	d := openTestFile(t, FileConfig{Mode: ODSync, Faults: plan})
 	if err := d.WriteData([]byte("buffered")); err != nil {
 		t.Fatal(err)
@@ -170,7 +168,7 @@ func TestFileODSyncWithFaultsUsesCacheModel(t *testing.T) {
 func TestFileCrashPoint(t *testing.T) {
 	// Ops: write(1) sync(2) write(3) -> crash at op 3 with no torn
 	// prefix, so only the first synced write survives.
-	plan := faultfs.NewPlan(3, faultfs.Config{CrashOp: 3, CrashTorn: 0})
+	plan := NewPlan(3, FaultConfig{CrashOp: 3, CrashTorn: 0})
 	d := openTestFile(t, FileConfig{Faults: plan})
 	if err := d.WriteData([]byte("first")); err != nil {
 		t.Fatal(err)
@@ -180,10 +178,10 @@ func TestFileCrashPoint(t *testing.T) {
 	}
 	if err := d.WriteData([]byte("second")); err == nil {
 		t.Fatal("write at crash op succeeded")
-	} else if !errors.Is(err, faultfs.ErrCrashed) {
+	} else if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
-	if err := d.Sync(); !errors.Is(err, faultfs.ErrCrashed) {
+	if err := d.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash sync err = %v, want ErrCrashed", err)
 	}
 	if got := d.DurableImage(); !bytes.Equal(got, []byte("first")) {

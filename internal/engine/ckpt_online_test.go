@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 	"vats/internal/storage"
 	"vats/internal/wal"
 )
@@ -50,7 +49,7 @@ func TestCrashInsideCheckpointWindow(t *testing.T) {
 	}
 
 	// Probe: count the ops the second checkpoint consumes with no faults.
-	probe := faultfs.NewPlan(77, faultfs.Config{})
+	probe := disk.NewPlan(77, disk.FaultConfig{})
 	db, _ := matrixOpen(t, "sim", false, wal.EagerFlush, probe)
 	load(db)
 	opsBefore := probe.Ops()
@@ -65,7 +64,7 @@ func TestCrashInsideCheckpointWindow(t *testing.T) {
 
 	for crashOp := opsBefore + 1; crashOp <= opsAfter; crashOp++ {
 		t.Run(fmt.Sprintf("crashop=%d", crashOp), func(t *testing.T) {
-			plan := faultfs.NewPlan(77, faultfs.Config{CrashOp: crashOp, CrashTorn: 0.5})
+			plan := disk.NewPlan(77, disk.FaultConfig{CrashOp: crashOp, CrashTorn: 0.5})
 			db, devs := matrixOpen(t, "sim", false, wal.EagerFlush, plan)
 			load(db)
 			if _, err := db.Checkpoint(); err == nil {
@@ -146,14 +145,14 @@ type flakyDev struct {
 
 func (d *flakyDev) WriteData(p []byte) error {
 	if d.fail.Load() {
-		return faultfs.ErrIO
+		return disk.ErrIO
 	}
 	return d.Device.WriteData(p)
 }
 
 func (d *flakyDev) Sync() error {
 	if d.fail.Load() {
-		return faultfs.ErrIO
+		return disk.ErrIO
 	}
 	return d.Device.Sync()
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 	"vats/internal/lock"
 	"vats/internal/storage"
 	"vats/internal/wal"
@@ -18,7 +17,7 @@ import (
 // but every commit remains atomic and durable, and the physical log
 // image decodes to exactly what the in-memory log believes is durable.
 func TestDeviceStallDoesNotBreakCorrectness(t *testing.T) {
-	plan := faultfs.NewPlan(7, faultfs.Config{StallP: 0.05, StallDur: 10 * time.Millisecond})
+	plan := disk.NewPlan(7, disk.FaultConfig{StallP: 0.05, StallDur: 10 * time.Millisecond})
 	logDev := disk.New(disk.Config{MedianLatency: 20 * time.Microsecond, BlockSize: 4096, Seed: 1, Faults: plan})
 	cfg := fastCfg()
 	cfg.LogDevices = []disk.Device{logDev}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 	"vats/internal/storage"
 	"vats/internal/wal"
 )
@@ -66,13 +65,13 @@ func TestRecoveryMatrix(t *testing.T) {
 							// adjudicated), so the sim probe calibrates the
 							// file rounds too — but probing on the same
 							// backend keeps the test honest about that claim.
-							probe := faultfs.NewPlan(11, faultfs.Config{})
+							probe := disk.NewPlan(11, disk.FaultConfig{})
 							db, _ := matrixOpen(t, backend, parallel, m.policy, probe)
 							matrixPhaseA(t, db, ckpt)
 							crashOp = probe.Ops() + 2
 							db.Crash()
 						}
-						plan := faultfs.NewPlan(11, faultfs.Config{CrashOp: crashOp, CrashTorn: m.torn})
+						plan := disk.NewPlan(11, disk.FaultConfig{CrashOp: crashOp, CrashTorn: m.torn})
 						db, devs := matrixOpen(t, backend, parallel, m.policy, plan)
 						tab := matrixPhaseA(t, db, ckpt)
 
@@ -136,7 +135,7 @@ func TestRecoveryMatrix(t *testing.T) {
 // on either the simulated or the real-file backend. The background
 // flusher is parked (1h interval) so every flush in the workload is
 // explicit and the device-op schedule is deterministic.
-func matrixOpen(t *testing.T, backend string, parallel bool, policy wal.FlushPolicy, plan *faultfs.Plan) (*DB, []disk.Device) {
+func matrixOpen(t *testing.T, backend string, parallel bool, policy wal.FlushPolicy, plan *disk.Plan) (*DB, []disk.Device) {
 	t.Helper()
 	n := 1
 	if parallel {

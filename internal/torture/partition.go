@@ -8,7 +8,6 @@ import (
 
 	"vats/internal/disk"
 	"vats/internal/engine"
-	"vats/internal/faultfs"
 	"vats/internal/partition"
 	"vats/internal/storage"
 	"vats/internal/wal"
@@ -42,7 +41,7 @@ type PartConfig struct {
 	MultiP        float64 // fraction of two-partition transactions
 	Policy        wal.FlushPolicy
 
-	// Fault plan knobs (see faultfs.Config). CrashOp <= 0 means the
+	// Fault plan knobs (see disk.FaultConfig). CrashOp <= 0 means the
 	// round runs to completion and shuts down cleanly.
 	CrashOp    int64
 	CrashTorn  float64
@@ -52,7 +51,7 @@ type PartConfig struct {
 
 // PartFromSeed derives a partitioned round configuration from a seed.
 func PartFromSeed(seed int64) PartConfig {
-	r := xrand.New(faultfs.DeriveSeed(seed, 7))
+	r := xrand.New(disk.DeriveSeed(seed, 7))
 	cfg := PartConfig{
 		Seed:          seed,
 		Partitions:    2 + r.Intn(3),
@@ -142,7 +141,7 @@ var errVoluntary = errors.New("torture: voluntary abort")
 
 // RunPartitioned executes one partitioned torture round.
 func RunPartitioned(cfg PartConfig) *PartResult {
-	plan := faultfs.NewPlan(cfg.Seed, faultfs.Config{
+	plan := disk.NewPlan(cfg.Seed, disk.FaultConfig{
 		IOErrorP:   cfg.IOErrorP,
 		DropFsyncP: cfg.DropFsyncP,
 		CrashOp:    cfg.CrashOp,
@@ -293,7 +292,7 @@ func loadPartBalances(pdb *partition.DB, tab *partition.Table, cfg PartConfig) b
 
 // runPartWorker executes one worker's transactions through the router.
 func runPartWorker(pdb *partition.DB, tab *partition.Table, j *partJournal, cfg PartConfig, w int) {
-	r := xrand.New(faultfs.DeriveSeed(cfg.Seed, 5000+w))
+	r := xrand.New(disk.DeriveSeed(cfg.Seed, 5000+w))
 	n := uint64(cfg.Partitions)
 	// Receipt keys live far above the balance range and are unique per
 	// (worker, txn); the +residue term routes each to its partition.

@@ -1,7 +1,7 @@
 // Package torture is the deterministic crash & fault-injection harness
 // for the recovery path. One Run is one simulated machine life: a
 // seeded multi-worker workload commits against an engine whose log
-// devices share a single faultfs.Plan (torn writes, dropped fsyncs,
+// devices share a single disk.Plan (torn writes, dropped fsyncs,
 // transient I/O errors, a crash point), the machine dies, and the
 // harness re-opens a fresh engine from the devices' durable byte
 // images and audits every recovery invariant:
@@ -30,7 +30,6 @@ import (
 
 	"vats/internal/disk"
 	"vats/internal/engine"
-	"vats/internal/faultfs"
 	"vats/internal/storage"
 	"vats/internal/wal"
 	"vats/internal/xrand"
@@ -60,7 +59,7 @@ type Config struct {
 	Backend string
 	Dir     string
 
-	// Fault plan knobs (see faultfs.Config). CrashOp <= 0 means the
+	// Fault plan knobs (see disk.FaultConfig). CrashOp <= 0 means the
 	// round runs to completion and shuts down cleanly.
 	CrashOp    int64
 	CrashTorn  float64
@@ -73,7 +72,7 @@ type Config struct {
 // crash point are all sampled deterministically, so the seed alone
 // reproduces the round.
 func FromSeed(seed int64) Config {
-	r := xrand.New(faultfs.DeriveSeed(seed, 0))
+	r := xrand.New(disk.DeriveSeed(seed, 0))
 	cfg := Config{
 		Seed:          seed,
 		Workers:       3 + r.Intn(3),
@@ -116,7 +115,7 @@ type Result struct {
 	Ops        int64  // device operations the fault plan adjudicated
 	Lies       int    // fsyncs the devices silently dropped
 	Entries    int    // records recovered from the durable images
-	Digest     uint64 // fault-schedule digest (seed-pure; see faultfs)
+	Digest     uint64 // fault-schedule digest (seed-pure; see disk.Plan)
 	Violations []string
 }
 
@@ -185,7 +184,7 @@ func openTables(db *engine.DB) []*storage.Table {
 
 // Run executes one torture round and returns its audited result.
 func Run(cfg Config) *Result {
-	plan := faultfs.NewPlan(cfg.Seed, faultfs.Config{
+	plan := disk.NewPlan(cfg.Seed, disk.FaultConfig{
 		IOErrorP:   cfg.IOErrorP,
 		DropFsyncP: cfg.DropFsyncP,
 		CrashOp:    cfg.CrashOp,
@@ -260,7 +259,7 @@ func Run(cfg Config) *Result {
 		ckptWG.Add(1)
 		go func() {
 			defer ckptWG.Done()
-			r := xrand.New(faultfs.DeriveSeed(cfg.Seed, 999))
+			r := xrand.New(disk.DeriveSeed(cfg.Seed, 999))
 			for i := 0; ; i++ {
 				select {
 				case <-stopCkpt:
@@ -349,7 +348,7 @@ func Run(cfg Config) *Result {
 
 // runWorker executes one worker's share of a phase.
 func runWorker(db *engine.DB, tabs []*storage.Table, j *journal, cfg Config, w, phase, n int) {
-	r := xrand.New(faultfs.DeriveSeed(cfg.Seed, 1000*w+phase+1))
+	r := xrand.New(disk.DeriveSeed(cfg.Seed, 1000*w+phase+1))
 	s := db.NewSession()
 	for i := 0; i < n; i++ {
 		if stop := runTxnOnce(s, tabs, j, cfg, r); stop {
@@ -411,7 +410,7 @@ func runTxnOnce(s *engine.Session, tabs []*storage.Table, j *journal, cfg Config
 	case err == nil:
 		j.record(tx.ID(), rec, true, true)
 		return false
-	case errors.Is(err, wal.ErrCrashed), errors.Is(err, faultfs.ErrCrashed):
+	case errors.Is(err, wal.ErrCrashed):
 		j.record(tx.ID(), rec, true, false)
 		return true
 	default:

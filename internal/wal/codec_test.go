@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 )
 
-func physDev(seed int64, cfg faultfs.Config) disk.Device {
+func physDev(seed int64, cfg disk.FaultConfig) disk.Device {
 	return disk.New(disk.Config{
 		MedianLatency: time.Microsecond,
 		BlockSize:     4096,
 		Seed:          seed,
-		Faults:        faultfs.NewPlan(seed, cfg),
+		Faults:        disk.NewPlan(seed, cfg),
 	})
 }
 
@@ -174,7 +173,7 @@ func TestPhysicalModeHeapHoldsNoPayloads(t *testing.T) {
 // a high transient-error rate and that every record is recovered from
 // the device image, in LSN order.
 func TestPhysicalTransientErrorsRetry(t *testing.T) {
-	dev := physDev(3, faultfs.Config{IOErrorP: 0.4})
+	dev := physDev(3, disk.FaultConfig{IOErrorP: 0.4})
 	m := New(Config{Devices: []disk.Device{dev}})
 	defer m.Close()
 	for txn := uint64(1); txn <= 30; txn++ {
@@ -203,7 +202,7 @@ func TestPhysicalTransientErrorsRetry(t *testing.T) {
 // commit that was acked before the crash must decode from the durable
 // image.
 func TestPhysicalCrashKeepsDurablePrefix(t *testing.T) {
-	dev := physDev(4, faultfs.Config{CrashOp: 25, CrashTorn: 0})
+	dev := physDev(4, disk.FaultConfig{CrashOp: 25, CrashTorn: 0})
 	m := New(Config{Devices: []disk.Device{dev}})
 	defer m.Close()
 	acked := 0

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 )
 
 // TestFlusherStress runs the whole protocol at once under the race
@@ -32,7 +31,7 @@ func TestFlusherStress(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			plan := faultfs.NewPlan(seed, faultfs.Config{IOErrorP: 0.05, CrashOp: tc.crashOp, CrashTorn: -1})
+			plan := disk.NewPlan(seed, disk.FaultConfig{IOErrorP: 0.05, CrashOp: tc.crashOp, CrashTorn: -1})
 			devs := make([]disk.Device, 2)
 			for i := range devs {
 				devs[i] = disk.New(disk.Config{

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"vats/internal/disk"
-	"vats/internal/faultfs"
 	"vats/internal/obs"
 )
 
@@ -78,8 +77,9 @@ func (p FlushPolicy) String() string {
 	}
 }
 
-// ErrCrashed is returned by operations after Crash.
-var ErrCrashed = errors.New("wal: simulated crash")
+// ErrCrashed is returned by operations after Crash, or after a log
+// device reaches its fault plan's crash point: it is disk.ErrCrashed.
+var ErrCrashed = disk.ErrCrashed
 
 // errClosed is returned by operations after Close.
 var errClosed = errors.New("wal: log closed")
@@ -504,7 +504,7 @@ func (m *Manager) flush(st *stream, sync bool) {
 		if err = m.pass(st, sync); err == nil {
 			return
 		}
-		if errors.Is(err, faultfs.ErrCrashed) || errors.Is(err, ErrCrashed) {
+		if errors.Is(err, ErrCrashed) {
 			m.fail(ErrCrashed)
 			return
 		}
