@@ -56,8 +56,8 @@ type emitInfo struct {
 // above ts) at truncation time per the checkpoint registry, and — for
 // incremental checkpoints — the referenced base rows. Coordinator
 // decide records below the bound are re-appended first so cross-
-// partition recovery never loses a commit decision (see
-// SetDecisionPruner).
+// partition recovery never loses a commit decision: every decision is
+// retained, however long ago its participants applied it.
 //
 // It returns the checkpoint's id — the transaction id tagging its
 // records — even when the checkpoint fails partway: its partial
@@ -77,17 +77,6 @@ func (db *DB) Checkpoint() (uint64, error) {
 // keeps those rows alive.
 func (db *DB) CheckpointIncremental() (uint64, error) {
 	return db.checkpoint(true)
-}
-
-// SetDecisionPruner installs the oracle deciding when a coordinator
-// decide record is no longer needed (every participant has durably
-// applied the outcome). Checkpoints re-append decide records below
-// their truncation bound unless the pruner clears them; with no pruner
-// every decision is conservatively retained forever.
-func (db *DB) SetDecisionPruner(resolved func(gtid uint64) bool) {
-	db.ckptMu.Lock()
-	db.decisionPruner = resolved
-	db.ckptMu.Unlock()
 }
 
 func (db *DB) checkpoint(incremental bool) (uint64, error) {
@@ -166,11 +155,11 @@ func (db *DB) checkpoint(incremental bool) (uint64, error) {
 			// in (le.ts, ts] wrote the table. LastCommitTS certifies that:
 			// it is read after BeginSnapshot, and stamping happens-before
 			// the watermark covers a cts, so every commit with cts ≤ ts
-			// has already raised it. (The table's DirtyEpoch cannot gate
-			// this — it bumps at statement time, so a write whose cts
-			// lands above a snapshot inflates the epoch the snapshot
-			// records, and the next pass would wrongly treat the table as
-			// clean while truncation destroys the write's log records.)
+			// has already raised it. (A modification count bumped at
+			// statement time cannot gate this: a write whose cts lands
+			// above a snapshot inflates the count the snapshot records,
+			// and the next pass would wrongly treat the table as clean
+			// while truncation destroys the write's log records.)
 			if le, ok := db.lastEmit[space]; ok && le.rows > 0 && t.LastCommitTS() <= le.ts {
 				// Unchanged since its rows last hit the log: reference
 				// them. Empty emissions are never referenced — zero
@@ -292,9 +281,6 @@ func (db *DB) preserveDecisions(bound wal.LSN) error {
 			continue
 		}
 		seen[gtid] = true
-		if db.decisionPruner != nil && db.decisionPruner(gtid) {
-			continue
-		}
 		if err := db.LogDecision(gtid); err != nil {
 			return err
 		}

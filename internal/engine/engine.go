@@ -144,11 +144,10 @@ type DB struct {
 
 	// Online-checkpoint state: ckptReg tracks writers for the safe
 	// truncation bound; ckptMu serializes checkpoints and guards the
-	// incremental bookkeeping and the decision pruner.
-	ckptReg        *ckptRegistry
-	ckptMu         sync.Mutex
-	lastEmit       map[uint32]emitInfo
-	decisionPruner func(gtid uint64) bool
+	// incremental bookkeeping.
+	ckptReg  *ckptRegistry
+	ckptMu   sync.Mutex
+	lastEmit map[uint32]emitInfo
 
 	nextTxn atomic.Uint64
 	closed  atomic.Bool

@@ -40,24 +40,6 @@ func (db *DB) Recover(entries []wal.Entry) error {
 	return db.RecoverWith(entries, nil)
 }
 
-// DecisionsIn scans durable entries for coordinator decide records and
-// returns the set of global transaction ids they commit. A partitioned
-// recovery unions DecisionsIn over every partition's streams before
-// calling RecoverWith on each, since the decision for a gtid may live in
-// any one participant's log.
-func DecisionsIn(entries []wal.Entry) map[uint64]bool {
-	var out map[uint64]bool
-	for _, e := range entries {
-		if op, _, gtid, _, err := decodeRedo(e.Payload); err == nil && op == redoDecide {
-			if out == nil {
-				out = make(map[uint64]bool)
-			}
-			out[gtid] = true
-		}
-	}
-	return out
-}
-
 // ckptCandidate aggregates one checkpoint id's surviving markers and
 // rows for completeness validation.
 type ckptCandidate struct {

@@ -73,21 +73,6 @@ func (tx *Txn) Partition() int {
 	return -1
 }
 
-// EngineTxn exposes the participant engine transaction on partition p
-// (nil if p is not a participant) — audit/journaling hooks.
-func (tx *Txn) EngineTxn(p int) *engine.Txn {
-	if tx.single != nil {
-		if p == tx.home {
-			return tx.single
-		}
-		return nil
-	}
-	if p >= 0 && p < len(tx.multi) {
-		return tx.multi[p]
-	}
-	return nil
-}
-
 // Get reads the row under key with a shared lock on its partition.
 func (tx *Txn) Get(t *Table, key uint64) ([]byte, error) {
 	etx, st, err := tx.route(t, key)

@@ -86,15 +86,6 @@ type Table struct {
 	// readable lock-free.
 	live atomic.Int64
 
-	// dirty is the table's modification epoch: bumped on every
-	// successful mutation, at statement execution time. It counts raw
-	// write activity (aborted transactions bump it too) and is an
-	// observability signal only — it CANNOT gate incremental
-	// checkpoint refs, because a bump can precede the write's commit
-	// timestamp: a snapshot taken in between sees the bumped epoch but
-	// not the row. lastCommit is the sound gate.
-	dirty atomic.Uint64
-
 	// lastCommit is the highest commit timestamp ever stamped into one
 	// of this table's versions (monotone max; bumped before the clock
 	// completes the timestamp). Because stamping happens-before the
@@ -148,12 +139,6 @@ func (t *Table) Space() uint32 { return t.space }
 // Clock returns the commit clock stamping this table's versions.
 func (t *Table) Clock() *mvcc.Clock { return t.clock }
 
-// DirtyEpoch returns the table's modification epoch: it advances on
-// every successful write statement (committed or not), at execution
-// time. Useful as an activity signal; see the dirty field for why it
-// must not be used to certify snapshot equality.
-func (t *Table) DirtyEpoch() uint64 { return t.dirty.Load() }
-
 // LastCommitTS returns the highest commit timestamp stamped into this
 // table so far. Read under a snapshot at watermark ts, a return value
 // ≤ ts0 (for ts0 ≤ ts) proves no commit with cts in (ts0, ts] wrote
@@ -203,9 +188,6 @@ func (t *Table) Insert(h *buffer.Handle, key uint64, row []byte) error {
 		t.noteCommit(cts)
 	}
 	t.clock.Complete(cts)
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
@@ -222,9 +204,6 @@ func (t *Table) InsertTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 	t.mu.Lock()
 	err := t.insertLocked(h, writeMarker(wid), key, row)
 	t.mu.Unlock()
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
@@ -419,9 +398,6 @@ func (t *Table) Update(h *buffer.Handle, key uint64, row []byte) error {
 		t.noteCommit(cts)
 	}
 	t.clock.Complete(cts)
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
@@ -437,9 +413,6 @@ func (t *Table) UpdateTxn(h *buffer.Handle, wid, key uint64, row []byte) error {
 	t.mu.Lock()
 	err := t.updateLocked(h, writeMarker(wid), key, row)
 	t.mu.Unlock()
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
@@ -560,9 +533,6 @@ func (t *Table) Delete(h *buffer.Handle, key uint64) error {
 		t.noteCommit(cts)
 	}
 	t.clock.Complete(cts)
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
@@ -572,9 +542,6 @@ func (t *Table) DeleteTxn(h *buffer.Handle, wid, key uint64) error {
 	t.mu.Lock()
 	err := t.deleteLocked(h, writeMarker(wid), key)
 	t.mu.Unlock()
-	if err == nil {
-		t.dirty.Add(1)
-	}
 	return err
 }
 
