@@ -1,9 +1,10 @@
 // Command vatsload drives a running vatsd with an open-loop Poisson
-// arrival stream over pipelined connections — the load shape that
-// exposes queueing delay (closed-loop clients self-throttle and hide
-// it). It can additionally hold hundreds of thousands of idle logical
-// sessions open to exercise sessions-at-scale, and prints per-class
-// latency histograms.
+// arrival stream over -conns connections, timing each request from its
+// due time (harness.RunLoad) — the load shape that exposes queueing
+// delay (closed-loop clients self-throttle and hide it). It can
+// additionally hold hundreds of thousands of idle logical sessions open
+// to exercise sessions-at-scale, and prints per-class latency
+// histograms.
 //
 // Usage:
 //
@@ -23,17 +24,17 @@ import (
 	"strings"
 	"time"
 
-	"vats"
+	"vats/internal/harness"
 )
 
 func main() {
 	var (
 		network   = flag.String("network", "tcp", `server network ("tcp" or "unix")`)
 		addr      = flag.String("addr", "127.0.0.1:4750", "server address")
-		conns     = flag.Int("conns", 4, "connections to pipeline over")
+		conns     = flag.Int("conns", 4, "connections (at most this many requests in flight)")
 		rate      = flag.Float64("rate", 1000, "target arrival rate, requests/second")
 		duration  = flag.Duration("duration", 2*time.Second, "how long to generate arrivals")
-		warmup    = flag.Duration("warmup", 0, "exclude responses before this offset from latency stats")
+		warmup    = flag.Duration("warmup", 0, "exclude arrivals due before this offset from latency stats")
 		sessions  = flag.Int("sessions", 0, "idle logical sessions to hold open for the whole run")
 		writeFrac = flag.Float64("write-frac", 0, "fraction of requests that are updates")
 		classMix  = flag.String("class-mix", "", `high,normal,low weights (e.g. "0.2,0.4,0.4"; empty = all normal)`)
@@ -45,7 +46,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := vats.LoadConfig{
+	cfg := harness.LoadConfig{
 		Network:      *network,
 		Addr:         *addr,
 		Conns:        *conns,
@@ -67,7 +68,7 @@ func main() {
 		cfg.ClassMix = mix
 	}
 
-	res, err := vats.RunLoad(cfg)
+	res, err := harness.RunLoad(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}

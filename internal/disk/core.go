@@ -38,7 +38,6 @@ type core struct {
 	maxWaiters atomic.Int32
 
 	ops    atomic.Int64
-	bytes  atomic.Int64
 	blocks atomic.Int64
 	busyNs atomic.Int64
 
@@ -79,17 +78,16 @@ func (c *core) enter() {
 }
 
 // exit frees the spindle and counts the request enter began.
-func (c *core) exit(ops, blocks, bytes int, busy time.Duration) {
+func (c *core) exit(ops, blocks int, busy time.Duration) {
 	c.mu.Unlock()
 	c.waiters.Add(-1)
-	c.count(ops, blocks, bytes, busy)
+	c.count(ops, blocks, busy)
 }
 
 // count adds one served request to the activity counters.
-func (c *core) count(ops, blocks, bytes int, busy time.Duration) {
+func (c *core) count(ops, blocks int, busy time.Duration) {
 	c.ops.Add(int64(ops))
 	c.blocks.Add(int64(blocks))
-	c.bytes.Add(int64(bytes))
 	c.busyNs.Add(int64(busy))
 }
 
@@ -97,7 +95,6 @@ func (c *core) count(ops, blocks, bytes int, busy time.Duration) {
 func (c *core) Stats() Stats {
 	return Stats{
 		Ops:        c.ops.Load(),
-		BytesDone:  c.bytes.Load(),
 		BlocksDone: c.blocks.Load(),
 		BusyTime:   time.Duration(c.busyNs.Load()),
 		MaxWaiters: c.maxWaiters.Load(),

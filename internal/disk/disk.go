@@ -78,7 +78,6 @@ func DefaultConfig(name string, seed int64) Config {
 // Stats reports cumulative device activity.
 type Stats struct {
 	Ops        int64
-	BytesDone  int64
 	BlocksDone int64
 	// BusyTime is total service time spent (excluding queueing).
 	BusyTime time.Duration
@@ -151,7 +150,7 @@ func (d *Sim) WriteBlock() time.Duration {
 func (d *Sim) serve(ops, blocks int) time.Duration {
 	start := time.Now()
 	d.enter()
-	d.exit(ops, blocks, blocks*d.cfg.BlockSize, d.spend(ops, blocks, 0))
+	d.exit(ops, blocks, d.spend(ops, blocks, 0))
 	return time.Since(start)
 }
 
@@ -167,7 +166,7 @@ func (d *Sim) WriteData(p []byte) error {
 	d.enter()
 	service := d.spend(blocks, blocks, o.stall)
 	err = d.settle(opWrite, o, p)
-	d.exit(blocks, blocks, blocks*d.cfg.BlockSize, service)
+	d.exit(blocks, blocks, service)
 	return err
 }
 
@@ -181,7 +180,7 @@ func (d *Sim) Sync() error {
 	d.enter()
 	service := d.spend(1, 0, o.stall)
 	err = d.settle(opFsync, o, nil)
-	d.exit(1, 0, 0, service)
+	d.exit(1, 0, service)
 	return err
 }
 

@@ -126,7 +126,6 @@ func (d *File) WriteData(p []byte) error {
 	if o.stall > 0 {
 		time.Sleep(o.stall)
 	}
-	before := d.n
 	err = d.settle(opWrite, o, p)
 	if err == nil && d.dsync {
 		// O_DSYNC: the write returned with the data on stable storage.
@@ -136,7 +135,7 @@ func (d *File) WriteData(p []byte) error {
 	if err != nil && !o.crash {
 		moved = 0 // a transient or pwrite error moved nothing
 	}
-	d.exit(blocks, moved, d.n-before, time.Since(start))
+	d.exit(blocks, moved, time.Since(start))
 	return err
 }
 
@@ -154,7 +153,7 @@ func (d *File) Sync() error {
 		time.Sleep(o.stall)
 	}
 	err = d.settle(opFsync, o, nil)
-	d.exit(1, 0, 0, time.Since(start))
+	d.exit(1, 0, time.Since(start))
 	return err
 }
 
@@ -234,7 +233,7 @@ func (d *File) blockIO(k int, io func(*os.File, []byte, int64) (int, error)) tim
 		blockBufs.Put(buf)
 	}
 	el := time.Since(start)
-	d.count(k, k, k*d.cfg.BlockSize, el)
+	d.count(k, k, el)
 	return el
 }
 

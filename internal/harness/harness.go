@@ -1,12 +1,14 @@
-// Package harness drives workloads against the engine the way the
-// paper's evaluation does (§7.1): an open-loop client sustains a
-// constant transaction rate (OLTP-Bench style) while per-transaction
-// latencies are recorded, then summarized as mean, variance and p99.
+// Package harness drives workloads the way the paper's evaluation does
+// (§7.1): an open-loop client sustains a fixed arrival rate
+// (OLTP-Bench style) while per-transaction latencies are recorded, then
+// summarized as mean, variance and p99.
 //
-// Latency is measured from a transaction's scheduled dispatch time to
-// its completion, so queueing behind saturated workers counts — exactly
-// the behaviour that makes tail latency meaningful at a fixed offered
-// load.
+// One driver core (drive) serves every load: Run and RunPartitioned
+// feed it evenly spaced arrivals over engine clients, RunLoad a seeded
+// Poisson stream over wire connections to a vatsd server. Latency is
+// measured from an arrival's due time to its completion, so queueing
+// behind saturated workers counts — exactly the behaviour that makes
+// tail latency meaningful at a fixed offered load.
 package harness
 
 import (
@@ -14,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vats/internal/engine"
@@ -57,9 +60,10 @@ type Result struct {
 	PerTag map[string]stats.Summary
 	// Errors counts transactions that failed after all retries.
 	Errors int
-	// Elapsed is the measurement wall time.
+	// Elapsed is the wall time of the whole run, warm-up included.
 	Elapsed time.Duration
-	// Throughput is completed transactions per second.
+	// Throughput is successful transactions per second over Elapsed.
+	// It counts the warm-up transactions, since Elapsed spans them.
 	Throughput float64
 	// Latencies holds the raw measured latencies in ms (for pooling
 	// across repetitions).
@@ -67,15 +71,17 @@ type Result struct {
 }
 
 // Merge pools another run's raw latencies and error counts into r and
-// recomputes the summaries. Both runs must be of the same workload and
-// configuration.
+// recomputes the summaries; Throughput becomes both runs' successful
+// transactions over their summed Elapsed. Both runs must be of the same
+// workload and configuration.
 func (r *Result) Merge(o Result) {
+	done := r.Throughput*r.Elapsed.Seconds() + o.Throughput*o.Elapsed.Seconds()
 	r.Latencies = append(r.Latencies, o.Latencies...)
 	r.Errors += o.Errors
 	r.Elapsed += o.Elapsed
 	r.Overall = stats.Summarize(r.Latencies)
 	if r.Elapsed > 0 {
-		r.Throughput = float64(len(r.Latencies)) / r.Elapsed.Seconds()
+		r.Throughput = done / r.Elapsed.Seconds()
 	}
 	if r.PerTag == nil {
 		r.PerTag = map[string]stats.Summary{}
@@ -100,7 +106,7 @@ func Run(db *engine.DB, wl workload.Workload, rc RunConfig) (Result, error) {
 		}
 		clients[i] = c
 	}
-	return RunClients(wl.Name(), db.Locks().Scheduler().Name(), clients, rc)
+	return runClients(wl.Name(), db.Locks().Scheduler().Name(), clients, rc)
 }
 
 // RunPartitioned drives a partition-aware workload against a
@@ -116,90 +122,86 @@ func RunPartitioned(pdb *partition.DB, wl workload.PartitionedWorkload, rc RunCo
 		}
 		clients[i] = c
 	}
-	return RunClients(wl.Name(), pdb.Partition(0).Locks().Scheduler().Name(), clients, rc)
+	return runClients(wl.Name(), pdb.Partition(0).Locks().Scheduler().Name(), clients, rc)
 }
 
-// RunClients is the driver core shared by Run and RunPartitioned: it
-// paces rc.Count transactions across the pre-built clients (open loop
-// at rc.Rate, closed loop at 0) and summarizes measured latencies.
-func RunClients(name, scheduler string, clients []workload.Client, rc RunConfig) (Result, error) {
+// runClients drives rc.Count transactions over the pre-built clients,
+// evenly spaced at rc.Rate (closed loop at 0), and summarizes the
+// measured latencies: the first rc.Warmup arrivals run but are left out
+// of Overall, PerTag and Latencies.
+func runClients(name, scheduler string, clients []workload.Client, rc RunConfig) (Result, error) {
 	rc.defaults()
-
-	type token struct {
-		due time.Time
-		n   int
-	}
-	work := make(chan token, rc.Count)
-
-	var mu sync.Mutex
-	perTag := make(map[string][]float64)
-	var overall []float64
-	errs := 0
-
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		c := c
-		_ = i
-		go func() {
-			defer wg.Done()
-			for tok := range work {
-				start := tok.due
-				now := time.Now()
-				if now.Before(start) {
-					time.Sleep(start.Sub(now))
-					now = start
-				}
-				if start.IsZero() {
-					start = now
-				}
-				tag, err := c.Run()
-				lat := float64(time.Since(start)) / float64(time.Millisecond)
-				mu.Lock()
-				if err != nil {
-					errs++
-				} else if tok.n >= rc.Warmup {
-					overall = append(overall, lat)
-					perTag[tag] = append(perTag[tag], lat)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-	begin := time.Now()
+	var due []time.Duration
 	if rc.Rate > 0 {
 		interval := time.Duration(float64(time.Second) / rc.Rate)
-		next := time.Now()
-		for n := 0; n < rc.Count; n++ {
-			work <- token{due: next, n: n}
-			next = next.Add(interval)
-		}
-	} else {
-		for n := 0; n < rc.Count; n++ {
-			work <- token{n: n}
+		due = make([]time.Duration, rc.Count)
+		for n := range due {
+			due[n] = time.Duration(n) * interval
 		}
 	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(begin)
+	tags := make([]string, rc.Count)
+	errs := make([]error, rc.Count)
+	lat, elapsed := drive(len(clients), rc.Count, due, func(w, n int) {
+		tags[n], errs[n] = clients[w].Run()
+	})
 
 	res := Result{
 		Workload:  name,
 		Scheduler: scheduler,
-		Overall:   stats.Summarize(overall),
-		PerTag:    make(map[string]stats.Summary, len(perTag)),
-		Errors:    errs,
+		PerTag:    map[string]stats.Summary{},
 		Elapsed:   elapsed,
-		Latencies: overall,
 	}
+	perTag := make(map[string][]float64)
+	for n, err := range errs {
+		if err != nil {
+			res.Errors++
+		} else if n >= rc.Warmup {
+			res.Latencies = append(res.Latencies, lat[n])
+			perTag[tags[n]] = append(perTag[tags[n]], lat[n])
+		}
+	}
+	res.Overall = stats.Summarize(res.Latencies)
 	for tag, xs := range perTag {
 		res.PerTag[tag] = stats.Summarize(xs)
 	}
 	if elapsed > 0 {
-		res.Throughput = float64(len(overall)) / elapsed.Seconds()
+		res.Throughput = float64(rc.Count-res.Errors) / elapsed.Seconds()
 	}
 	return res, nil
+}
+
+// drive is the one load-driver core behind runClients and RunLoad.
+// Arrival n is due at due[n] past the run's start; a nil due is a closed
+// loop, where each arrival is due when a worker takes it. Each of the
+// workers goroutines takes the next arrival in order, sleeps until it is
+// due, runs it with run(worker, n) and times it from its due time, so an
+// arrival that finds every worker busy has that wait in its latency. It
+// returns each arrival's latency in ms and the wall time of the run.
+func drive(workers, count int, due []time.Duration, run func(w, n int)) ([]float64, time.Duration) {
+	lat := make([]float64, count)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int(next.Add(1) - 1); n < count; n = int(next.Add(1) - 1) {
+				at := time.Now()
+				if due != nil {
+					d := start.Add(due[n])
+					if at.Before(d) {
+						time.Sleep(d.Sub(at))
+					}
+					at = d
+				}
+				run(w, n)
+				lat[n] = float64(time.Since(at)) / float64(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	return lat, time.Since(start)
 }
 
 // RatioTable renders a paper-style comparison table: each row is one

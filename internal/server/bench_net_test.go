@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"vats/internal/admit"
-	"vats/internal/netload"
+	"vats/internal/harness"
 )
 
 // benchOverloadRun drives one open-loop overload run (2× the pinned
 // M/G/c capacity) and returns the result. Shared by the shed-on and
 // shed-off cells so the only variable is the admission policy.
-func benchOverloadRun(b *testing.B, acfg admit.Config, table string) *netload.Result {
+func benchOverloadRun(b *testing.B, acfg admit.Config, table string) harness.LoadResult {
 	b.Helper()
 	const execDelay = 2 * time.Millisecond // capacity = Slots/S = 1000 req/s
 	addr := startShedServer(b, acfg, execDelay)
-	res, err := netload.Run(netload.Config{
+	res, err := harness.RunLoad(harness.LoadConfig{
 		Network:  "tcp",
 		Addr:     addr,
 		Conns:    128,
@@ -77,7 +77,7 @@ func BenchmarkNetScaleSessions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		addr := startShedServer(b, admit.Config{Slots: 8, QueueCap: 128}, 0)
 		start := time.Now()
-		res, err := netload.Run(netload.Config{
+		res, err := harness.RunLoad(harness.LoadConfig{
 			Network:      "tcp",
 			Addr:         addr,
 			Conns:        16,

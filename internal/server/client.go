@@ -24,8 +24,8 @@ var (
 
 // Client is a synchronous protocol client: one in-flight request per
 // call, FIFO-matched to responses. Safe for concurrent use (calls
-// serialize on an internal mutex); open many clients — or speak the
-// protocol raw, like internal/netload — for pipelining.
+// serialize on an internal mutex); open many clients for concurrency,
+// as harness.RunLoad does with one per connection.
 type Client struct {
 	mu   sync.Mutex
 	nc   net.Conn

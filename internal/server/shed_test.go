@@ -7,7 +7,7 @@ import (
 	"vats/internal/admit"
 	"vats/internal/disk"
 	"vats/internal/engine"
-	"vats/internal/netload"
+	"vats/internal/harness"
 	"vats/internal/obs"
 	"vats/internal/server"
 )
@@ -60,7 +60,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 	// 128 connections keeps per-connection utilization low, so the
 	// measured client latency is dominated by the admission queue (the
 	// thing under test), not same-connection pipeline residue.
-	load := netload.Config{
+	load := harness.LoadConfig{
 		Network:  "tcp",
 		Conns:    128,
 		Rate:     rate,
@@ -82,7 +82,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 	// core, so retry on fixed seeds before calling a narrow band miss
 	// a regression (the Table 3 / Figure 4 deflake pattern).
 	band := 6 * float64(targetP99/time.Millisecond)
-	var ctl *netload.Result
+	var ctl harness.LoadResult
 	for _, seed := range []int64{7, 23, 41} {
 		// Controlled: bounded queue + p99 feedback + per-class shedding.
 		addr := startShedServer(t, admit.Config{
@@ -94,7 +94,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 		load.Addr = addr
 		load.Seed = seed
 		var err error
-		ctl, err = netload.Run(load)
+		ctl, err = harness.RunLoad(load)
 		if err != nil {
 			t.Fatalf("controlled run: %v", err)
 		}
@@ -103,6 +103,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 		if ctl.ProtoErrors != 0 {
 			t.Fatalf("controlled run had %d protocol errors", ctl.ProtoErrors)
 		}
+		checkAccounting(t, ctl)
 		if ctl.Latency.P99 <= band {
 			break
 		}
@@ -128,7 +129,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 	}, execDelay)
 	load.Addr = addr
 	load.Table = "shed2"
-	raw, err := netload.Run(load)
+	raw, err := harness.RunLoad(load)
 	if err != nil {
 		t.Fatalf("uncontrolled run: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestShedKeepsAdmittedP99InBand(t *testing.T) {
 // modest rate must complete with zero protocol errors.
 func TestLoadgenSmoke(t *testing.T) {
 	addr := startShedServer(t, admit.Config{Slots: 8, QueueCap: 128}, 0)
-	res, err := netload.Run(netload.Config{
+	res, err := harness.RunLoad(harness.LoadConfig{
 		Network:      "tcp",
 		Addr:         addr,
 		Conns:        8,
@@ -173,6 +174,22 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.OK == 0 || res.Sent == 0 {
 		t.Fatalf("no traffic: %+v", res)
 	}
+	checkAccounting(t, res)
+}
+
+// checkAccounting: every arrival is sent once and lands in exactly one
+// outcome counter, and the per-class splits sum to their totals.
+func checkAccounting(t *testing.T, res harness.LoadResult) {
+	t.Helper()
+	if got := res.OK + res.Shed + res.Retry + res.Errors + res.ProtoErrors; got != res.Sent {
+		t.Errorf("OK+Shed+Retry+Errors+ProtoErrors = %d, Sent = %d", got, res.Sent)
+	}
+	if got := res.SentByClass[0] + res.SentByClass[1] + res.SentByClass[2]; got != res.Sent {
+		t.Errorf("SentByClass %v sums to %d, Sent = %d", res.SentByClass, got, res.Sent)
+	}
+	if got := res.ShedByClass[0] + res.ShedByClass[1] + res.ShedByClass[2]; got != res.Shed {
+		t.Errorf("ShedByClass %v sums to %d, Shed = %d", res.ShedByClass, got, res.Shed)
+	}
 }
 
 // TestScaleSessions holds 100k+ concurrent open logical sessions —
@@ -184,7 +201,7 @@ func TestScaleSessions(t *testing.T) {
 	}
 	const want = 100_000
 	addr := startShedServer(t, admit.Config{Slots: 8, QueueCap: 128}, 0)
-	res, err := netload.Run(netload.Config{
+	res, err := harness.RunLoad(harness.LoadConfig{
 		Network:      "tcp",
 		Addr:         addr,
 		Conns:        16,

@@ -360,40 +360,36 @@ func TestMeanVarianceHelpers(t *testing.T) {
 	}
 }
 
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(1000)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 100; i++ {
-				r.Record(time.Millisecond)
-			}
-			done <- struct{}{}
-		}()
+func TestWelfordMergeManyShards(t *testing.T) {
+	// The obs registry merges one Welford per histogram shard; check a
+	// chunked merge over many shards matches the single-stream result.
+	vals := make([]float64, 0, 1000)
+	x := 1.0
+	for i := 0; i < 1000; i++ {
+		x = math.Mod(x*1.3+0.7, 97)
+		vals = append(vals, x)
 	}
-	for g := 0; g < 8; g++ {
-		<-done
+	var whole Welford
+	for _, v := range vals {
+		whole.Add(v)
 	}
-	if r.Len() != 800 {
-		t.Fatalf("len = %d, want 800", r.Len())
+	const shards = 16
+	parts := make([]Welford, shards)
+	for i, v := range vals {
+		parts[i%shards].Add(v)
 	}
-	s := r.Summary()
-	if !almostEqual(s.Mean, 1, 1e-9) {
-		t.Errorf("mean = %v, want 1ms", s.Mean)
+	var merged Welford
+	for i := range parts {
+		merged.Merge(&parts[i])
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("reset did not clear")
+	if merged.N() != whole.N() {
+		t.Fatalf("merged count %d, want %d", merged.N(), whole.N())
 	}
-}
-
-func TestRecorderSnapshotIsCopy(t *testing.T) {
-	r := NewRecorder(4)
-	r.RecordValue(1)
-	snap := r.Snapshot()
-	snap[0] = 99
-	if r.Snapshot()[0] != 1 {
-		t.Fatal("snapshot aliases internal storage")
+	if math.Abs(merged.Mean()-whole.Mean()) > 1e-9 {
+		t.Fatalf("merged mean %v, want %v", merged.Mean(), whole.Mean())
+	}
+	if math.Abs(merged.Variance()-whole.Variance()) > 1e-7 {
+		t.Fatalf("merged variance %v, want %v", merged.Variance(), whole.Variance())
 	}
 }
 

@@ -36,10 +36,8 @@ import (
 	"vats/internal/buffer"
 	"vats/internal/disk"
 	"vats/internal/engine"
-	"vats/internal/exec"
 	"vats/internal/harness"
 	"vats/internal/lock"
-	"vats/internal/netload"
 	"vats/internal/obs"
 	"vats/internal/partition"
 	"vats/internal/server"
@@ -60,11 +58,6 @@ type (
 	Session = engine.Session
 	// Txn is a strict-2PL transaction.
 	Txn = engine.Txn
-	// SnapshotTxn is a lock-free read-only transaction over a frozen
-	// commit timestamp: its reads never block writers or retry.
-	SnapshotTxn = engine.SnapshotTxn
-	// Table is a heap table with a clustered B+-tree primary index.
-	Table = storage.Table
 	// RowBuilder encodes typed fields into a row image.
 	RowBuilder = storage.RowBuilder
 	// RowReader decodes a row image.
@@ -79,8 +72,6 @@ type (
 	BenchResult = harness.Result
 	// Experiment is a regenerated paper table/figure.
 	Experiment = harness.Experiment
-	// AgeSample is one (age, remaining-time) lock-wait observation.
-	AgeSample = engine.AgeSample
 	// Obs is a live observability bundle: a sharded metrics registry,
 	// the slow-transaction tracer, the online variance-attribution
 	// engine with its SLO watchdog, and the overhead-budgeted sampling
@@ -90,9 +81,6 @@ type (
 	ObsConfig = obs.Config
 	// ObsServer is a running /metrics + /debug HTTP endpoint.
 	ObsServer = obs.Server
-	// VarianceSnapshot is a merged live variance-attribution view (the
-	// /debug/variance payload core).
-	VarianceSnapshot = obs.VarianceSnapshot
 	// VarianceConfig sizes the online attribution engine's windows.
 	VarianceConfig = obs.VarianceConfig
 	// SLOConfig holds the variance watchdog's targets.
@@ -103,43 +91,6 @@ type (
 	// SamplingConfig sets the span-capture overhead budget.
 	SamplingConfig = obs.SamplingConfig
 )
-
-// Streaming scan executor (internal/exec): single-use pull-based
-// operator pipelines over MVCC snapshots. Sources bind to a
-// SnapshotTxn, so a whole pipeline never takes a lock.
-type (
-	// Row is one row flowing through an executor pipeline; Data is
-	// valid only until the next Next call.
-	Row = exec.Row
-	// Iterator is a single-use executor row stream.
-	Iterator = exec.Iterator
-)
-
-// NewTableScan streams a table's rows in key order at tx's snapshot,
-// with [lo, hi] pushed into the B+-tree descent.
-func NewTableScan(tx *SnapshotTxn, t *Table, lo, hi uint64) Iterator {
-	return exec.NewTableScan(tx, t, lo, hi)
-}
-
-// NewIndexScan streams rows in secondary-key order at tx's snapshot.
-func NewIndexScan(tx *SnapshotTxn, t *Table, index string, lo, hi uint64) Iterator {
-	return exec.NewIndexScan(tx, t, index, lo, hi)
-}
-
-// Filter drops rows failing pred.
-func Filter(in Iterator, pred func(Row) bool) Iterator { return exec.Filter(in, pred) }
-
-// Project rewrites each row image through proj (dst is a reused
-// scratch buffer to append into).
-func Project(in Iterator, proj func(dst []byte, r Row) []byte) Iterator {
-	return exec.Project(in, proj)
-}
-
-// Limit stops after n rows; upstream operators do no further work.
-func Limit(in Iterator, n int) Iterator { return exec.Limit(in, n) }
-
-// Merge combines key-ordered iterators into one key-ordered stream.
-func Merge(ins ...Iterator) Iterator { return exec.Merge(ins...) }
 
 // NewRowReader wraps a row image for decoding.
 func NewRowReader(row []byte) *RowReader { return storage.NewRowReader(row) }
@@ -360,16 +311,6 @@ func Open(o Options) (*DB, error) {
 type (
 	// PartitionedDB is a running N-way partitioned engine.
 	PartitionedDB = partition.DB
-	// PartitionedTxn is a routed transaction spanning one or more
-	// partitions (passed to the function given to PartitionedDB.Run).
-	PartitionedTxn = partition.Txn
-	// PartitionRef declares one (table, primary key) a transaction will
-	// touch — the router classifies transactions from these.
-	PartitionRef = partition.Ref
-	// PartitionedTable is a hash-partitioned (or replicated) table.
-	PartitionedTable = partition.Table
-	// PartitionStats is a routing/throughput snapshot.
-	PartitionStats = partition.Stats
 	// PartitionedWorkload is a benchmark that can drive a partitioned
 	// engine.
 	PartitionedWorkload = workload.PartitionedWorkload
@@ -421,50 +362,25 @@ func RunPartitionedBenchmark(pdb *PartitionedDB, wl PartitionedWorkload, cfg Ben
 	})
 }
 
-// Network service layer (internal/server + internal/admit +
-// internal/netload): the vatsd wire protocol server that maps
-// connections onto Session/SnapshotTxn, the admission controller with
-// per-class load shedding and a p99 queue-wait feedback target, and the
-// open-loop load generator. See cmd/vatsd and cmd/vatsload for the
-// command-line front ends and docs/SERVER.md for the protocol.
+// Network service layer (internal/server + internal/admit): the vatsd
+// wire protocol server that maps connections onto engine sessions and
+// snapshot transactions, and the admission controller with per-class
+// load shedding and a p99 queue-wait feedback target. See cmd/vatsd for
+// the server's command-line front end, internal/harness.RunLoad (behind
+// cmd/vatsload) for the open-loop wire load driver, and docs/SERVER.md
+// for the protocol.
 type (
 	// Server serves the wire protocol over TCP or unix sockets.
 	Server = server.Server
 	// ServerConfig configures a Server (admission knobs included).
 	ServerConfig = server.Config
-	// ServerClient is a synchronous wire-protocol client.
-	ServerClient = server.Client
 	// AdmitConfig configures the admission controller.
 	AdmitConfig = admit.Config
-	// AdmitClass is an admission priority class.
-	AdmitClass = admit.Class
-	// AdmitStats is an admission-controller snapshot.
-	AdmitStats = admit.Stats
-	// LoadConfig drives one open-loop load-generator run.
-	LoadConfig = netload.Config
-	// LoadResult is a load run's outcome.
-	LoadResult = netload.Result
 )
-
-// Admission classes, highest priority first.
-const (
-	ClassHigh   = admit.High
-	ClassNormal = admit.Normal
-	ClassLow    = admit.Low
-)
-
-// ErrShed: the request was load-shed by admission control; back off.
-var ErrShed = admit.ErrShed
 
 // NewServer builds a wire-protocol server over an open engine; call
 // Listen to bind and Close to shut down.
 func NewServer(db *DB, cfg ServerConfig) *Server { return server.New(db, cfg) }
-
-// DialServer connects a synchronous client to a running server.
-func DialServer(network, addr string) (*ServerClient, error) { return server.Dial(network, addr) }
-
-// RunLoad executes one open-loop load run against a running server.
-func RunLoad(cfg LoadConfig) (*LoadResult, error) { return netload.Run(cfg) }
 
 // Row-operation errors, re-exported for errors.Is checks.
 var (
