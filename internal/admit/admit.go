@@ -3,8 +3,9 @@
 // per-class load shedding and a feedback controller that tracks a
 // configured p99 queue-wait target.
 //
-// The shape is internal/queuesim's M/G/c worker pool made into an
-// enforcement mechanism. The paper's VoltDB study (Appendix A)
+// It is the repository's one M/G/c queue: it serves the server's front
+// door and, with shedding off, the harness's VoltDB mode (the
+// stored-procedure queue of figs. 6 and 7). The paper's VoltDB study (Appendix A)
 // attributes 99.9% of latency variance to queueing delay; the only way
 // a server can *bound* that delay under open-loop overload is to bound
 // the queue. The controller therefore turns one knob — the effective

@@ -1,18 +1,18 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"vats/internal/admit"
 	"vats/internal/buffer"
 	"vats/internal/engine"
 	"vats/internal/lock"
-	"vats/internal/queuesim"
 	"vats/internal/sched"
 	"vats/internal/stats"
 	"vats/internal/tprofiler"
@@ -738,47 +738,53 @@ func Figure6(o Opts) (Experiment, error) {
 	}
 	record("postgres", r2.Overall)
 
-	vd, err := runVoltDB(2, o)
+	vd, _, err := runVoltDB(2, o)
 	if err != nil {
 		return Experiment{}, err
 	}
-	record("voltdb", vd.Total)
+	record("voltdb", vd)
 
 	return Experiment{ID: "fig6", Title: "Out-of-the-box dispersion", Text: b.String(), Data: data}, nil
 }
 
-// runVoltDB drives the queue-based engine at the experiment's offered
-// load with o.Clients concurrent submitters.
-func runVoltDB(workers int, o Opts) (queuesim.Stats, error) {
-	srv := queuesim.New(queuesim.Config{
-		Workers:       workers,
-		ServiceMedian: 2 * time.Millisecond,
-		ServiceSigma:  0.4,
-		Seed:          o.Seed + 77,
+// runVoltDB runs the VoltDB mode: one global FIFO of stored-procedure
+// calls (admit with shedding off) in front of workers executors, fed by
+// o.Clients closed-loop submitters that each think Clients/Rate after
+// their call. Service times are log-normal (median 2 ms, σ 0.4), drawn
+// up front from one seed. Latency is queue wait + service; it returns the
+// latency summary and the queue's share of its variance,
+// Var(wait)/Var(total).
+func runVoltDB(workers int, o Opts) (stats.Summary, float64, error) {
+	q := admit.New(admit.Config{Slots: workers, DisableShed: true})
+	defer q.Close()
+	src := xrand.NewLogNormal(xrand.New(o.Seed+77), 2, 0.4, 0, 0)
+	svc := make([]float64, o.Count)
+	for n := range svc {
+		svc[n] = src.Sample()
+	}
+	wait, total := make([]float64, o.Count), make([]float64, o.Count)
+	errs := make([]error, o.Count)
+	think := time.Duration(float64(o.Clients) / o.Rate * float64(time.Second))
+	drive(o.Clients, o.Count, nil, func(_, n int) {
+		w, err := q.Admit(admit.High)
+		if err != nil {
+			errs[n] = err
+			return
+		}
+		time.Sleep(time.Duration(svc[n] * float64(time.Millisecond)))
+		q.Release()
+		wait[n] = float64(w) / float64(time.Millisecond)
+		total[n] = wait[n] + svc[n]
+		time.Sleep(think)
 	})
-	defer srv.Stop()
-	perClient := o.Count / o.Clients
-	if perClient == 0 {
-		perClient = 1
+	if err := errors.Join(errs...); err != nil {
+		return stats.Summary{}, 0, err
 	}
-	var wg sync.WaitGroup
-	interval := time.Duration(float64(o.Clients) / o.Rate * float64(time.Second))
-	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if _, _, err := srv.Submit(); err != nil {
-					return
-				}
-				if interval > 0 {
-					time.Sleep(interval)
-				}
-			}
-		}()
+	sum := stats.Summarize(total)
+	if sum.Variance == 0 {
+		return sum, 0, nil
 	}
-	wg.Wait()
-	return srv.Stats(), nil
+	return sum, stats.Summarize(wait).Variance / sum.Variance, nil
 }
 
 // ---------------------------------------------------------------------
@@ -789,22 +795,22 @@ func runVoltDB(workers int, o Opts) (queuesim.Stats, error) {
 // (ratios: 2 workers / N workers).
 func Figure7(o Opts) (Experiment, error) {
 	o = o.with(600, 24, 900)
-	base, err := runVoltDB(2, o)
+	base, share, err := runVoltDB(2, o)
 	if err != nil {
 		return Experiment{}, err
 	}
 	var b strings.Builder
 	data := map[string]float64{}
 	fmt.Fprintf(&b, "Figure 7: VoltDB-mode worker threads (ratios 2-workers/N-workers)\n")
-	fmt.Fprintf(&b, "queue share of variance at 2 workers: %.1f%%\n", 100*base.QueueVarianceShare)
-	data["queueShare"] = base.QueueVarianceShare
+	fmt.Fprintf(&b, "queue share of variance at 2 workers: %.1f%%\n", 100*share)
+	data["queueShare"] = share
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "workers", "mean", "variance", "p99")
 	for _, n := range []int{8, 12, 16, 24} {
-		r, err := runVoltDB(n, o)
+		r, _, err := runVoltDB(n, o)
 		if err != nil {
 			return Experiment{}, err
 		}
-		ratio := stats.RatioOf(base.Total, r.Total)
+		ratio := stats.RatioOf(base, r)
 		fmt.Fprintf(&b, "%-8d %9.2fx %9.2fx %9.2fx\n", n, ratio.Mean, ratio.Variance, ratio.P99)
 		data[fmt.Sprintf("%d/variance", n)] = ratio.Variance
 		data[fmt.Sprintf("%d/mean", n)] = ratio.Mean

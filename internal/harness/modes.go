@@ -20,7 +20,8 @@ import (
 //	                a small pool adds the LRU-mutex pathology.
 //	Postgres mode — a slow single-stream WAL; the global flush lock
 //	                (WALWriteLock) dominates.
-//	VoltDB mode   — queuesim (see internal/queuesim): queueing delay.
+//	VoltDB mode   — runVoltDB: calls wait in one admit FIFO (shedding
+//	                off) for N workers; queueing delay dominates.
 
 // ModeOpts tweaks a preset.
 type ModeOpts struct {

@@ -97,16 +97,16 @@ func Table3(o Opts) (Experiment, error) {
 		stats.RatioOf(orig.Overall, par.Overall)})
 
 	// 5. VoltDB worker threads.
-	vBase, err := runVoltDB(2, o)
+	vBase, _, err := runVoltDB(2, o)
 	if err != nil {
 		return Experiment{}, err
 	}
-	vMore, err := runVoltDB(8, o)
+	vMore, _, err := runVoltDB(8, o)
 	if err != nil {
 		return Experiment{}, err
 	}
 	rows = append(rows, row{"VoltDB", "[waiting in queue]", "2 → 8 worker threads",
-		stats.RatioOf(vBase.Total, vMore.Total)})
+		stats.RatioOf(vBase, vMore)})
 
 	var b strings.Builder
 	data := map[string]float64{}

@@ -5,8 +5,8 @@
 // the common case when the partitioning key matches the workload, e.g.
 // TPC-C by warehouse — are dispatched whole to their partition's
 // executor queue and run with no cross-partition coordination at all
-// (the M/G/c queueing shape from internal/queuesim made real: c workers
-// per partition draining one FIFO queue). Multi-partition transactions
+// (the M/G/c queueing shape of the paper's VoltDB study: c workers per
+// partition draining one FIFO queue). Multi-partition transactions
 // run two-phase commit over the participants' WAL streams: a forced-
 // durable prepare record in each participant's log, a forced-durable
 // coordinator decision record, and presumed-abort recovery that resolves

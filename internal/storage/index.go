@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 
 	"vats/internal/btree"
@@ -184,31 +185,36 @@ func (t *Table) indexDeleteLocked(pk uint64, row []byte) {
 
 // IndexScan calls fn for every row whose secondary key falls in
 // [lo, hi], ascending by secondary key (rows sharing a key come in
-// posting order: the order their postings were added). Row images are
-// copies. The scan streams over a copy-on-write snapshot of the
-// secondary tree and reads each posting's current row head without
-// taking the table lock; rows deleted or relocated mid-scan are skipped
-// (read-committed, as before).
+// posting order: the order their postings were added), until fn returns
+// false. Row images are copies. The scan streams over a copy-on-write
+// snapshot of the secondary tree and reads each posting's current row
+// head without taking the table lock; rows deleted or relocated
+// mid-scan are skipped (read-committed, as in Scan). Any other read
+// error, such as a page the pool cannot fetch, stops the scan and is
+// returned.
 func (t *Table) IndexScan(h *buffer.Handle, name string, lo, hi uint64, fn func(pk uint64, row []byte) bool) error {
 	ix, ok := t.indexByName(name)
 	if !ok {
 		return fmt.Errorf("storage %s: no index %q", t.name, name)
 	}
+	var err error
 	ix.tree.AscendRange(lo, hi, func(_ uint64, pks []uint64) bool {
 		for _, pk := range pks {
 			meta, ok := t.index.Get(pk)
 			if !ok || meta.tomb {
 				continue
 			}
-			row, err := t.readRID(h, meta.rid)
-			if err != nil {
+			var row []byte
+			row, err = t.readRID(h, meta.rid)
+			if errors.Is(err, ErrKeyNotFound) {
+				err = nil
 				continue // deleted or relocated since the snapshot
 			}
-			if !fn(pk, row) {
+			if err != nil || !fn(pk, row) {
 				return false
 			}
 		}
 		return true
 	})
-	return nil
+	return err
 }

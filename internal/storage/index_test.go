@@ -225,3 +225,40 @@ func TestIndexScanMissingRowsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIndexScanReturnsFetchError pins every frame of a 4-frame pool so
+// the row's page cannot be read back: IndexScan must report the fetch
+// error, as Scan does, not skip the row as if it had been deleted.
+func TestIndexScanReturnsFetchError(t *testing.T) {
+	p := newPool(4, 512)
+	tab := NewTable("t", 1, p)
+	h := p.NewHandle()
+	if err := tab.CreateIndex(h, "byFirstByte", nameBucket); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(h, 1, row("apple")); err != nil {
+		t.Fatal(err)
+	}
+	var pinned []buffer.Frame
+	for i := uint64(0); i < 4; i++ {
+		fr, err := p.Create(buffer.PageID{Space: 99, No: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, fr)
+	}
+	all := func(uint64, []byte) bool { return true }
+	if err := tab.Scan(h, 0, 10, all); !errors.Is(err, buffer.ErrNoVictim) {
+		t.Fatalf("Scan err = %v, want %v", err, buffer.ErrNoVictim)
+	}
+	if err := tab.IndexScan(h, "byFirstByte", 'a', 'a', all); !errors.Is(err, buffer.ErrNoVictim) {
+		t.Fatalf("IndexScan err = %v, want %v", err, buffer.ErrNoVictim)
+	}
+	for _, fr := range pinned {
+		fr.Release()
+	}
+	n := 0
+	if err := tab.IndexScan(h, "byFirstByte", 'a', 'a', func(uint64, []byte) bool { n++; return true }); err != nil || n != 1 {
+		t.Fatalf("after unpinning: IndexScan rows = %d, err = %v; want 1, nil", n, err)
+	}
+}
